@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO, Optional
+from typing import Optional
 
 from . import indicators, ranking, reference, stats
 from .core_model import Dataset, Edition, UndefinedIndicatorError, validate
@@ -55,18 +55,19 @@ def _component_columns(rows: list[CategoryFixtureRow]) -> dict[str, list[Optiona
     }
 
 
-def _open_out(path: Optional[str]) -> IO[str]:
-    if path is None:
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
-
-
 def _write(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
+
+
+def _digits(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {n}")
+    return n
 
 
 def _fmt(x: Optional[float], digits: int) -> str:
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fixture", help="category fixture CSV (default: bundled table)")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--digits", type=int, default=digits_default)
+        p.add_argument("--digits", type=_digits, default=digits_default)
         return p
 
     common(sub.add_parser("validate"), input_required=True).set_defaults(func=cmd_validate)
@@ -498,3 +499,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -116,26 +116,34 @@ class CategoryInfo:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable container: census year, journals, and the category registry."""
+    """Immutable container: census year, journals, and the category registry.
+
+    ``_cache`` holds values derived from ``journals`` on first use: the
+    member index here, the whole-database and union AIFs in ``indicators``.
+    It is plain data, left out of equality and repr, and stays valid only
+    because ``journals`` never changes.
+    """
 
     year: int
     journals: tuple[JournalRecord, ...]
     registry: dict[str, CategoryInfo] = field(default_factory=dict)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "journals", tuple(self.journals))
         object.__setattr__(self, "registry", dict(self.registry))
 
-    def journal(self, journal_id: str) -> JournalRecord:
-        for j in self.journals:
-            if j.id == journal_id:
-                return j
-        raise KeyError(journal_id)
-
     def members(self, code: str) -> list[JournalRecord]:
         if code not in self.registry:
             raise KeyError(f"unknown category: {code}")
-        return [j for j in self.journals if code in j.categories]
+        index = self._cache.get("members")
+        if index is None:
+            index = {}
+            for j in self.journals:
+                for c in set(j.categories):  # a repeated code lists j once, as a scan does
+                    index.setdefault(c, []).append(j)
+            self._cache["members"] = index
+        return list(index.get(code, ()))
 
     def category_codes(self) -> list[str]:
         return sorted(self.registry)

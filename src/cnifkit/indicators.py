@@ -9,7 +9,6 @@ from .core_model import (
     ComponentVector,
     Dataset,
     Edition,
-    InsufficientDataError,
     JournalRecord,
     UndefinedIndicatorError,
 )
@@ -182,12 +181,21 @@ def cnif(journal: JournalRecord, dataset: Dataset) -> NormalizedScore:
     """Normalize a journal's IF by the union of its subject categories.
 
     With a single category the union is that category, so the score reduces
-    to the whole-database AIF over the category AIF.
+    to the whole-database AIF over the category AIF.  The whole-database AIF
+    is computed once per dataset and each union AIF once per distinct
+    ``categories`` tuple.
     """
     if_value = impact_factor(journal)
-    jcr_aif = aggregate_impact_factor(jcr_aggregate(dataset))
-    meta = meta_category_aggregate(dataset, journal.categories)
-    meta_aif = aggregate_impact_factor(meta)
+    # Only computed values are cached, so every caller meets the same first error.
+    cache = dataset._cache
+    jcr_aif = cache.get("jcr_aif")
+    if jcr_aif is None:
+        jcr_aif = cache["jcr_aif"] = aggregate_impact_factor(jcr_aggregate(dataset))
+    union_aifs = cache.setdefault("union_aifs", {})
+    meta_aif = union_aifs.get(journal.categories)
+    if meta_aif is None:
+        meta = meta_category_aggregate(dataset, journal.categories)
+        meta_aif = union_aifs[journal.categories] = aggregate_impact_factor(meta)
     if meta_aif == 0:
         raise UndefinedIndicatorError(
             f"journal {journal.id}: zero meta-category AIF, normalization undefined"

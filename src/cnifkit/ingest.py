@@ -172,7 +172,9 @@ def parse_journals_csv(stream: IO[str], year: int = 0, strict: bool = True) -> D
         bad = validate(dataset)
         if bad:
             first = bad[0]
-            raise ParseError(2, f"journal {first.record_id}: {first.rule}")
+            # ids are unique here and each data row made one journal, in order
+            line = 2 + next(i for i, j in enumerate(journals) if j.id == first.record_id)
+            raise ParseError(line, f"journal {first.record_id}: {first.rule}")
     return dataset
 
 

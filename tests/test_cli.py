@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +61,27 @@ class TestExitCodes:
         path.write_text(HEADER + "\nj1,J,A,1,1,1,1,10,20,5\n")  # refs_jcr > refs_total
         assert main(["validate", "--input", str(path)]) == 1
         assert "refs_jcr exceeds refs_total" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("digits", ["-1", "x"])
+    def test_bad_digits_is_usage_error(self, sample_csv, digits, capsys):
+        assert main(["cnif", "--input", sample_csv, "--digits", digits]) == 2
+        assert "--digits" in capsys.readouterr().err
+
+    def test_zero_digits_accepted(self, sample_csv, capsys):
+        assert main(["cnif", "--input", sample_csv, "--digits", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "j1,2,2,2,1,2"
+
+    def test_module_entry_runs_main(self):
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cnifkit.cli", "validate", "--input", "/nonexistent/x.csv"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "file not found" in proc.stderr
 
     def test_clean_validation_exits_zero(self, sample_csv, capsys):
         assert main(["validate", "--input", sample_csv]) == 0

@@ -41,6 +41,15 @@ def test_negative_count_carries_line_number():
     assert exc.value.line == 2
 
 
+def test_strict_record_violation_carries_its_own_line():
+    rows = [f"j{i},J,A,1,1,1,1,10,5,2" for i in range(1, 6)]
+    rows.insert(5, "bad,J,A,1,1,1,1,10,20,5")  # refs_jcr > refs_total, line 7
+    with pytest.raises(ParseError) as exc:
+        parse(HEADER + "\n" + "\n".join(rows) + "\n")
+    assert exc.value.line == 7
+    assert str(exc.value) == "line 7: journal bad: refs_jcr exceeds refs_total"
+
+
 def test_header_only_gives_empty_dataset():
     ds = parse(HEADER + "\n")
     assert ds.journals == ()
