@@ -28,13 +28,14 @@ def round_away(x: float, digits: int) -> float:
     return -int(-scaled + 0.5) / scale
 
 
-def _load_dataset(path: str) -> Dataset:
-    with open(path, encoding="utf-8") as f:
-        return parse_journals_csv(f)
+# utf-8-sig drops the byte-order mark that Excel writes before the header
+def _load_dataset(path: str, strict: bool = True) -> Dataset:
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        return parse_journals_csv(f, strict=strict)
 
 
 def _load_fixture(path: Optional[str]) -> list[CategoryFixtureRow]:
-    with open(path or reference.bundled_fixture_path(), encoding="utf-8") as f:
+    with open(path or reference.bundled_fixture_path(), encoding="utf-8-sig", newline="") as f:
         return parse_category_fixture_csv(f)
 
 
@@ -75,9 +76,7 @@ def _fmt(x: Optional[float], digits: int) -> str:
 
 
 def cmd_validate(args) -> int:
-    with open(args.input, encoding="utf-8") as f:
-        dataset = parse_journals_csv(f, strict=False)
-    report = validate(dataset)
+    report = validate(_load_dataset(args.input, strict=False))
     rows = [{"record_id": v.record_id, "rule": v.rule} for v in report]
     _write(dumps_report(rows, args.format), args.out)
     return DATA_ERROR if report else 0

@@ -211,23 +211,6 @@ def cnif(journal: JournalRecord, dataset: Dataset) -> NormalizedScore:
     )
 
 
-def fixture_aggregate(row) -> CategoryAggregate:
-    """Adapt a CategoryFixtureRow to the aggregate shape used by components().
-
-    Item counts are not published at category level, so a_t/a_t1/a_t2 stay
-    zero and only the reference-based components (p, w, b) are derivable.
-    """
-    return CategoryAggregate(
-        code=row.code,
-        name=row.name,
-        edition=row.edition,
-        refs_total=row.refs_total,
-        refs_jcr=row.refs_jcr,
-        ncited=row.ncited,
-        nciting=row.nciting,
-    )
-
-
 def fixture_reference_components(row) -> tuple[float, float, float]:
     """Recompute (p, w, b) exactly from a fixture row's raw counts."""
     if row.refs_total == 0:

@@ -11,7 +11,6 @@ from .core_model import (
     CategoryInfo,
     Dataset,
     Edition,
-    InsufficientDataError,
     JournalRecord,
     validate,
 )
@@ -225,19 +224,6 @@ def parse_category_fixture_csv(stream: IO[str]) -> list[CategoryFixtureRow]:
     return out
 
 
-def derive_citable_items(row: CategoryFixtureRow) -> float:
-    """Estimate the census-year citable items of a fixture category.
-
-    The reference table prints r (mean references per item) but not the item
-    count itself, so the count is recovered as refs_total / r.
-    """
-    if row.printed_r is None:
-        raise InsufficientDataError(f"{row.code}: printed r absent, cannot derive item count")
-    if row.printed_r <= 0:
-        raise InsufficientDataError(f"{row.code}: printed r is zero")
-    return row.refs_total / row.printed_r
-
-
 def _journal_row(j: JournalRecord) -> list[str]:
     def opt(v: Optional[int]) -> str:
         return "" if v is None else str(v)
@@ -261,32 +247,6 @@ def emit_journals_csv(dataset: Dataset, stream: IO[str]) -> None:
     writer.writerow(JOURNAL_HEADER)
     for j in dataset.journals:
         writer.writerow(_journal_row(j))
-
-
-def emit_fixture_csv(rows: Iterable[CategoryFixtureRow], stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(FIXTURE_HEADER)
-    for r in rows:
-        def printed(v: Optional[float]) -> str:
-            return "-" if v is None else f"{v:g}"
-
-        writer.writerow(
-            [
-                r.code,
-                r.name,
-                r.edition.value,
-                str(r.refs_jcr),
-                str(r.refs_total),
-                str(r.ncited),
-                str(r.nciting),
-                printed(r.printed_a),
-                printed(r.printed_r),
-                printed(r.printed_p),
-                printed(r.printed_w),
-                printed(r.printed_b),
-                printed(r.printed_aif),
-            ]
-        )
 
 
 def _as_record(item) -> dict:

@@ -1,20 +1,11 @@
 """Per-category rankings, percentiles, and the cross-category gap metric."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .core_model import Dataset, JournalRecord
 from .indicators import cnif, impact_factor
-
-# Study-level figures reported for the unpublished 590-journal experiment.
-# Kept as reference constants only: the journal-level data needed to
-# recompute them was never released.
-REPORTED_MAX_GAP_IF = 28.0
-REPORTED_MAX_GAP_CNIF = 17.0
-REPORTED_MEAN_GAP_IF = 6.2
-REPORTED_MEAN_GAP_CNIF = 4.2
-REPORTED_FRACTION_REDUCED = 0.51
 
 SCORERS = ("if", "cnif")
 

@@ -68,6 +68,32 @@ SD_COVERAGE = {
 }
 SD_COVERAGE_TOLERANCE = 1.5  # percentage points per cell
 
+# The (edition, component, band) cells of SD_COVERAGE that the bundled 2010
+# table cannot reproduce within SD_COVERAGE_TOLERANCE: the two `a` cells need
+# values finer than the printed 2 decimals, and the p and w cells miss even on
+# the exact values recomputed from the raw counts.  reproduce-table4 marks
+# exactly these rows MISMATCH.
+TABLE4_DIVERGENT_CELLS = frozenset(
+    {
+        ("science", "a", "1s"),
+        ("science", "p", "1s"),
+        ("science", "w", "1s"),
+        ("social", "a", "1s"),
+        ("social", "p", "1s"),
+        ("social", "p", "2s"),
+        ("social", "w", "1s"),
+    }
+)
+
+# Study-level figures reported for the unpublished 590-journal experiment.
+# Kept as reference constants only: the journal-level data needed to
+# recompute them was never released.
+REPORTED_MAX_GAP_IF = 28.0
+REPORTED_MAX_GAP_CNIF = 17.0
+REPORTED_MEAN_GAP_IF = 6.2
+REPORTED_MEAN_GAP_CNIF = 4.2
+REPORTED_FRACTION_REDUCED = 0.51
+
 
 def bundled_fixture_path() -> str:
     """Path of the category table shipped with the package."""

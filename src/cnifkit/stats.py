@@ -204,47 +204,25 @@ def ward_cluster(
     leaf_labels = tuple(labels[i] for i in order)
 
     d = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
-    active = list(range(n))
-    sizes = {i: 1 for i in range(n)}
-    tags = {i: leaf_labels[i] for i in range(n)}
-    dist = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = d[i, j]
-
-    def dget(i: int, j: int) -> float:
-        return dist[(i, j) if i < j else (j, i)]
-
+    np.fill_diagonal(d, np.inf)  # merged-away rows and columns become inf too
+    ids = list(range(n))  # row -> cluster id; row i keeps a merge of rows i < j
+    tags = list(leaf_labels)
+    sizes = np.ones(n, dtype=np.int64)  # never 0, so no 0 * inf (nan) in a dead row
     merges = []
-    next_id = n
-    while len(active) > 1:
-        pairs = [
-            (active[ai], active[aj])
-            for ai in range(len(active))
-            for aj in range(ai + 1, len(active))
-        ]
-        dmin = min(dget(i, j) for i, j in pairs)
+    for new in range(n, 2 * n - 1):
+        h = d.min()
         # exact ties only; the tag order makes the choice permutation invariant
+        # (then the older pairs first, as in a scan in order of cluster id)
         i, j = min(
-            (p for p in pairs if dget(*p) == dmin),
-            key=lambda p: tuple(sorted((tags[p[0]], tags[p[1]]))),
+            np.argwhere(np.triu(d == h, 1)).tolist(),
+            key=lambda p: (sorted(tags[r] for r in p), sorted(ids[r] for r in p)),
         )
-        h = dget(i, j)
         ni, nj = sizes[i], sizes[j]
-        new = next_id
-        next_id += 1
-        for k in active:
-            if k in (i, j):
-                continue
-            nk = sizes[k]
-            dik, djk, dij = dget(i, k), dget(j, k), dget(i, j)
-            dist[(k, new) if k < new else (new, k)] = (
-                (ni + nk) * dik + (nj + nk) * djk - nk * dij
-            ) / (ni + nj + nk)
-        active = [k for k in active if k not in (i, j)] + [new]
-        sizes[new] = ni + nj
-        tags[new] = min(tags[i], tags[j])
-        merges.append(Merge(i, j, h, new, ni + nj))
+        row = ((ni + sizes) * d[i] + (nj + sizes) * d[j] - sizes * h) / (ni + nj + sizes)
+        d[i, :] = d[:, i] = row
+        d[j, :] = d[:, j] = d[i, i] = np.inf
+        merges.append(Merge(min(ids[i], ids[j]), max(ids[i], ids[j]), h, new, int(ni + nj)))
+        ids[i], tags[i], sizes[i] = new, min(tags[i], tags[j]), ni + nj
     return Dendrogram(leaf_labels, tuple(merges))
 
 

@@ -6,23 +6,6 @@ from cnifkit.core_model import CategoryInfo, Dataset, Edition, JournalRecord
 from cnifkit.ingest import parse_category_fixture_csv
 from cnifkit.reference import bundled_fixture_path
 
-# The (edition, component, band) cells of the published sd-band coverage table
-# (Table 4) that the bundled 2010 table cannot reproduce within
-# SD_COVERAGE_TOLERANCE.  test_acceptance.test_criterion_7_sd_band_coverage
-# proves the cause of each from the bundled data; reproduce-table4 must mark
-# exactly these rows MISMATCH.
-TABLE4_DIVERGENT_CELLS = frozenset(
-    {
-        ("science", "a", "1s"),
-        ("science", "p", "1s"),
-        ("science", "w", "1s"),
-        ("social", "a", "1s"),
-        ("social", "p", "1s"),
-        ("social", "p", "2s"),
-        ("social", "w", "1s"),
-    }
-)
-
 
 def make_dataset(journals, year=2010):
     codes = {c for j in journals for c in j.categories}

@@ -4,7 +4,7 @@ Each test covers one numbered acceptance criterion and prints a single
 PASS/FAIL line.  Criterion 7 compares the sd-band coverages of the bundled
 2010 table with the published Table 4.  The bundled data determine 23 of its
 30 cells, and each of those must match within SD_COVERAGE_TOLERANCE.  The
-other 7 cells (conftest.TABLE4_DIVERGENT_CELLS) are left out of that
+other 7 cells (reference.TABLE4_DIVERGENT_CELLS) are left out of that
 comparison because the data prove they cannot be reproduced: the two `a`
 cells need values finer than the printed 2 decimals, and the five p and w
 cells miss even on the exact values recomputed from the table's raw counts.
@@ -27,9 +27,6 @@ from cnifkit.cli import round_away
 from cnifkit.core_model import Edition
 from cnifkit.ingest import emit_journals_csv, parse_journals_csv
 from cnifkit.ranking import (
-    REPORTED_FRACTION_REDUCED,
-    REPORTED_MAX_GAP_CNIF,
-    REPORTED_MAX_GAP_IF,
     RankingEntry,
     compare_gaps,
     gap,
@@ -40,8 +37,12 @@ from cnifkit.reference import (
     CORRELATIONS,
     PCA_TOP_SHARE,
     PCA_TOP_SHARE_TOLERANCE,
+    REPORTED_FRACTION_REDUCED,
+    REPORTED_MAX_GAP_CNIF,
+    REPORTED_MAX_GAP_IF,
     SD_COVERAGE,
     SD_COVERAGE_TOLERANCE,
+    TABLE4_DIVERGENT_CELLS,
 )
 from cnifkit.stats import (
     Matrix,
@@ -54,7 +55,7 @@ from cnifkit.stats import (
     ward_cluster,
 )
 
-from conftest import TABLE4_DIVERGENT_CELLS, make_dataset, make_journal, random_journal
+from conftest import make_dataset, make_journal, random_journal
 
 
 def criterion(number, title):

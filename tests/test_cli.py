@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 from cnifkit.cli import main, round_away
-
-from conftest import TABLE4_DIVERGENT_CELLS
+from cnifkit.reference import TABLE4_DIVERGENT_CELLS, bundled_fixture_path
 
 HEADER = "id,name,categories,items_t,items_t1,items_t2,cited_in_window,refs_total,refs_jcr,refs_jcr_in_window"
 
@@ -164,6 +163,27 @@ class TestCommands:
         assert len(merges) - 1 == 54  # 55 complete social categories -> 54 merges
         clusters = (tmp_path / "cl.csv.clusters").read_text().splitlines()
         assert len(clusters) - 1 == 55
+
+
+class TestByteOrderMark:
+    # Excel writes UTF-8 CSV with a byte-order mark and CRLF line ends
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "command",
+        [["validate", "--input"], ["cnif", "--input"], ["reproduce-table1", "--fixture"]],
+        ids=lambda c: c[0],
+    )
+    def test_bom_input_gives_identical_output(self, sample_csv, tmp_path, command, newline):
+        plain = bundled_fixture_path() if command[-1] == "--fixture" else sample_csv
+        text = Path(plain).read_text(encoding="utf-8")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", newline).encode("utf-8"))
+        outputs = []
+        for path in (plain, bom):
+            out = tmp_path / "out.csv"
+            assert main(command + [str(path), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestReproduction:

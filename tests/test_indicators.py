@@ -16,7 +16,6 @@ from cnifkit.indicators import (
     category_aggregate,
     cnif,
     components,
-    fixture_aggregate,
     fixture_reference_components,
     growth_ratio_from_rate,
     impact_factor,
@@ -351,8 +350,3 @@ class TestCnif:
             assert after.score == pytest.approx(before.score, rel=1e-12)
             assert after.cnif == pytest.approx(before.cnif * k, rel=1e-12)
 
-
-def test_fixture_aggregate_adapts_reference_row(fixture_by_code):
-    a = fixture_aggregate(fixture_by_code["S1"])
-    assert a.refs_jcr == 87001
-    assert a.ncited == 11626

@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnifkit.core_model import Edition, InsufficientDataError
+from cnifkit.core_model import Edition
 from cnifkit.ingest import (
-    CategoryFixtureRow,
     ParseError,
     dumps_report,
-    emit_fixture_csv,
     emit_journals_csv,
-    parse_category_fixture_csv,
     parse_journals_csv,
 )
 
@@ -99,45 +96,6 @@ def test_fixture_anchor_rows(fixture_by_code):
     assert ss7.printed_a is None and ss7.printed_aif is None
     s113 = fixture_by_code["S113"]
     assert (s113.ncited, s113.nciting) == (206138, 80965)
-
-
-def test_derive_citable_items_s1(fixture_by_code):
-    s1 = fixture_by_code["S1"]
-    from cnifkit.ingest import derive_citable_items
-
-    estimate = derive_citable_items(s1)
-    assert estimate == pytest.approx(110560 / 29.14)
-    # inverse check: estimate times printed r recovers the reference total
-    assert estimate * s1.printed_r == pytest.approx(110560)
-
-
-def test_derive_citable_items_requires_printed_r():
-    from cnifkit.ingest import derive_citable_items
-
-    row = CategoryFixtureRow("X", "X", Edition.SCIENCE, 1, 2, 3, 4)
-    with pytest.raises(InsufficientDataError):
-        derive_citable_items(row)
-
-
-def test_derive_citable_items_zero_refs():
-    from cnifkit.ingest import derive_citable_items
-
-    row = CategoryFixtureRow("X", "X", Edition.SCIENCE, 0, 0, 3, 4, printed_r=5.0)
-    assert derive_citable_items(row) == 0
-
-
-def test_fixture_round_trip(fixture_rows):
-    buf = io.StringIO()
-    emit_fixture_csv(fixture_rows, buf)
-    again = parse_category_fixture_csv(io.StringIO(buf.getvalue()))
-    for a, b in zip(fixture_rows, again):
-        assert (a.refs_jcr, a.refs_total, a.ncited, a.nciting) == (
-            b.refs_jcr,
-            b.refs_total,
-            b.ncited,
-            b.nciting,
-        )
-        assert a.code == b.code and a.edition == b.edition
 
 
 def test_emit_report_empty_json():

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnifkit.stats import (
+    Dendrogram,
     Matrix,
+    Merge,
+    _standardize,
     correlation_matrix,
     cut_dendrogram,
     histogram_by_sd,
@@ -177,7 +180,104 @@ def brute_force_ward_merges(points):
     return merges
 
 
+def pair_scan_ward(labels, vectors, standardize=True):
+    """The pair-scan Ward that the dense-matrix ward_cluster replaced.
+
+    Kept as a differential oracle: a dict of all pairs, rescanned in order of
+    cluster id at every merge, with a per-cluster Lance-Williams update.
+    """
+    if len(labels) != len(vectors):
+        raise ValueError("labels and vectors must align")
+    if len(labels) < 2:
+        raise ValueError("need at least 2 complete vectors")
+    x = np.array(vectors, dtype=float)
+    if standardize:
+        x = _standardize(x)
+    n = len(labels)
+    order = sorted(range(n), key=lambda i: labels[i])
+    x = x[order]
+    leaf_labels = tuple(labels[i] for i in order)
+
+    d = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+    active = list(range(n))
+    sizes = {i: 1 for i in range(n)}
+    tags = {i: leaf_labels[i] for i in range(n)}
+    dist = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[(i, j)] = d[i, j]
+
+    def dget(i, j):
+        return dist[(i, j) if i < j else (j, i)]
+
+    merges = []
+    next_id = n
+    while len(active) > 1:
+        pairs = [
+            (active[ai], active[aj])
+            for ai in range(len(active))
+            for aj in range(ai + 1, len(active))
+        ]
+        dmin = min(dget(i, j) for i, j in pairs)
+        i, j = min(
+            (p for p in pairs if dget(*p) == dmin),
+            key=lambda p: tuple(sorted((tags[p[0]], tags[p[1]]))),
+        )
+        h = dget(i, j)
+        ni, nj = sizes[i], sizes[j]
+        new = next_id
+        next_id += 1
+        for k in active:
+            if k in (i, j):
+                continue
+            nk = sizes[k]
+            dik, djk, dij = dget(i, k), dget(j, k), dget(i, j)
+            dist[(k, new) if k < new else (new, k)] = (
+                (ni + nk) * dik + (nj + nk) * djk - nk * dij
+            ) / (ni + nj + nk)
+        active = [k for k in active if k not in (i, j)] + [new]
+        sizes[new] = ni + nj
+        tags[new] = min(tags[i], tags[j])
+        merges.append(Merge(i, j, h, new, ni + nj))
+    return Dendrogram(leaf_labels, tuple(merges))
+
+
+@st.composite
+def grid_points(draw, distinct=True):
+    """Small integer-grid inputs, where tied merge heights are common."""
+    n = draw(st.integers(2, 14))
+    dim = draw(st.integers(1, 3))
+    points = draw(
+        st.lists(st.lists(st.integers(0, 3), min_size=dim, max_size=dim), min_size=n, max_size=n)
+    )
+    if distinct:
+        labels = draw(st.permutations([f"c{i:02d}" for i in range(n)]))
+    else:
+        labels = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    return labels, points
+
+
 class TestWard:
+    @settings(max_examples=400, deadline=None)
+    @given(grid_points(), st.booleans())
+    def test_bit_identical_to_pair_scan(self, case, standardize):
+        labels, points = case
+        try:
+            expected = pair_scan_ward(labels, points, standardize)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                ward_cluster(labels, points, standardize)
+            return
+        assert ward_cluster(labels, points, standardize) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_points(distinct=False))
+    def test_repeated_labels_break_ties_as_pair_scan(self, case):
+        # equal tags fall back to the pair scan's order: older clusters first
+        labels, points = case
+        expected = pair_scan_ward(labels, points, standardize=False)
+        assert ward_cluster(labels, points, standardize=False) == expected
+
     def test_first_merges_on_line_points(self):
         d = ward_cluster(["p0", "p1", "p2", "p3"], [[0], [1], [10], [11]], standardize=False)
         first_two = {frozenset((m.left, m.right)) for m in d.merges[:2]}
