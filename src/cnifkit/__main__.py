@@ -1,0 +1,5 @@
+"""``python -m cnifkit`` runs the command-line interface."""
+from .cli import entrypoint
+
+if __name__ == "__main__":
+    entrypoint()

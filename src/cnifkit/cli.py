@@ -182,6 +182,7 @@ def cmd_rank(args) -> int:
 def cmd_gap(args) -> int:
     dataset = _load_dataset(args.input)
     summary, reports = ranking.compare_gaps(dataset)
+    cnif_score = ranking.score_function(dataset, "cnif")
     by_id = {j.id: j for j in dataset.journals}
     rows = []
     for r in reports:
@@ -191,7 +192,7 @@ def cmd_gap(args) -> int:
                 "journal_id": r.journal_id,
                 "categories": ";".join(j.categories),
                 "if": _fmt(indicators.impact_factor(j), args.digits),
-                "cnif": _fmt(indicators.cnif(j, dataset).cnif, args.digits),
+                "cnif": _fmt(cnif_score(j), args.digits),
                 "gap_if": _fmt(r.gap_if, args.digits),
                 "gap_cnif": _fmt(r.gap_cnif, args.digits),
             }

@@ -119,9 +119,9 @@ class Dataset:
     """Immutable container: census year, journals, and the category registry.
 
     ``_cache`` holds values derived from ``journals`` on first use: the
-    member index here, the whole-database and union AIFs in ``indicators``.
-    It is plain data, left out of equality and repr, and stays valid only
-    because ``journals`` never changes.
+    member index here, the category table in ``indicators`` and the CNIF
+    scores in ``ranking``.  It is plain data, left out of equality and repr,
+    and stays valid only because ``journals`` never changes.
     """
 
     year: int

@@ -88,12 +88,17 @@ def category_aggregate(dataset: Dataset, code: str) -> CategoryAggregate:
     return _sum_aggregate(members, code, info.name, info.edition)
 
 
-def aggregate_impact_factor(agg: CategoryAggregate) -> float:
-    if agg.items_window == 0:
+def _aif(codes: Iterable[str], ncited: int, items_window: int) -> float:
+    """AIF of the aggregate labelled by the sorted codes joined with "+"."""
+    if items_window == 0:
         raise UndefinedIndicatorError(
-            f"category {agg.code}: no citable items in target window, AIF undefined"
+            f"category {'+'.join(sorted(codes))}: no citable items in target window, AIF undefined"
         )
-    return agg.ncited / agg.items_window
+    return ncited / items_window
+
+
+def aggregate_impact_factor(agg: CategoryAggregate) -> float:
+    return _aif((agg.code,), agg.ncited, agg.items_window)
 
 
 def journal_weight(journal: JournalRecord, agg: CategoryAggregate) -> Weight:
@@ -177,25 +182,61 @@ def jcr_aggregate(dataset: Dataset) -> CategoryAggregate:
     return _sum_aggregate(unique, "JCR", "all journals", Edition.UNION)
 
 
+def _category_table(journals: Sequence[JournalRecord]) -> tuple[dict, int, int]:
+    """Per code: summed window items and citations, and the journals that also
+    list another code; plus the whole-database sums (exact Python ints)."""
+    by_code: dict[str, list] = {}
+    for j in journals:
+        codes = set(j.categories)
+        for code in codes:
+            entry = by_code.setdefault(code, [0, 0, []])
+            entry[0] += j.items_t1 + j.items_t2
+            entry[1] += j.cited_in_window
+            if len(codes) > 1:
+                entry[2].append(j)
+    items = sum(j.items_t1 + j.items_t2 for j in journals)
+    cited = sum(j.cited_in_window for j in journals)
+    return {c: (i, n, tuple(shared)) for c, (i, n, shared) in by_code.items()}, items, cited
+
+
 def cnif(journal: JournalRecord, dataset: Dataset) -> NormalizedScore:
     """Normalize a journal's IF by the union of its subject categories.
 
     With a single category the union is that category, so the score reduces
-    to the whole-database AIF over the category AIF.  The whole-database AIF
-    is computed once per dataset and each union AIF once per distinct
-    ``categories`` tuple.
+    to the whole-database AIF over the category AIF.  Both AIFs come from a
+    table built once per dataset; a dataset that repeats a journal id has
+    none, and its aggregates dedupe by id.
     """
     if_value = impact_factor(journal)
-    # Only computed values are cached, so every caller meets the same first error.
     cache = dataset._cache
-    jcr_aif = cache.get("jcr_aif")
-    if jcr_aif is None:
-        jcr_aif = cache["jcr_aif"] = aggregate_impact_factor(jcr_aggregate(dataset))
-    union_aifs = cache.setdefault("union_aifs", {})
-    meta_aif = union_aifs.get(journal.categories)
-    if meta_aif is None:
-        meta = meta_category_aggregate(dataset, journal.categories)
-        meta_aif = union_aifs[journal.categories] = aggregate_impact_factor(meta)
+    if "category_table" not in cache:
+        journals = dataset.journals
+        unique_ids = len({j.id for j in journals}) == len(journals)
+        cache["category_table"] = _category_table(journals) if journals and unique_ids else None
+    table = cache["category_table"]
+    if table is None:
+        jcr_aif = aggregate_impact_factor(jcr_aggregate(dataset))
+        meta_aif = aggregate_impact_factor(meta_category_aggregate(dataset, journal.categories))
+    else:
+        by_code, jcr_items, jcr_cited = table
+        jcr_aif = _aif(("JCR",), jcr_cited, jcr_items)
+        items = cited = 0
+        seen: set[str] = set()
+        for code in journal.categories:
+            if code not in dataset.registry:
+                raise KeyError(f"unknown category: {code}")
+            if code in seen:
+                continue
+            code_items, code_cited, shared = by_code.get(code, (0, 0, ()))
+            items += code_items
+            cited += code_cited
+            if seen:
+                for m in shared:
+                    if not seen.isdisjoint(m.categories):  # counted with an earlier code
+                        items -= m.items_t1 + m.items_t2
+                        cited -= m.cited_in_window
+            seen.add(code)
+        meta_aif = _aif(journal.categories, cited, items)
     if meta_aif == 0:
         raise UndefinedIndicatorError(
             f"journal {journal.id}: zero meta-category AIF, normalization undefined"

@@ -194,9 +194,13 @@ def parse_category_fixture_csv(stream: IO[str]) -> list[CategoryFixtureRow]:
         raise ParseError(1, "empty input, header row required")
     _expect_header(rows[0], FIXTURE_HEADER, 1)
     out = []
+    seen: set[str] = set()
     for offset, row in enumerate(rows[1:], start=2):
         if len(row) != len(FIXTURE_HEADER):
             raise ParseError(offset, f"expected {len(FIXTURE_HEADER)} fields, got {len(row)}")
+        if row[0] in seen:
+            raise ParseError(offset, f"duplicate category code: {row[0]}")
+        seen.add(row[0])
         if row[2] not in _EDITIONS:
             raise ParseError(offset, f"unknown edition: {row[2]!r}")
         try:

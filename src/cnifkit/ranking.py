@@ -38,11 +38,23 @@ class GapSummary:
     fraction_reduced: float
 
 
-def _scorer(dataset: Dataset, name: str) -> Callable[[JournalRecord], float]:
+def score_function(dataset: Dataset, name: str) -> Callable[[JournalRecord], float]:
+    """The score function behind ``rank_category``'s ``scorer`` name; the CNIF
+    scores of multi-category journals are kept, so each is computed once."""
     if name == "if":
         return impact_factor
     if name == "cnif":
-        return lambda j: cnif(j, dataset).cnif
+        scores = dataset._cache.setdefault("cnif", {})
+
+        def cnif_score(j: JournalRecord) -> float:
+            if len(j.categories) == 1:
+                return cnif(j, dataset).cnif
+            s = scores.get(j)
+            if s is None:
+                s = scores[j] = cnif(j, dataset).cnif
+            return s
+
+        return cnif_score
     raise ValueError(f"unknown scorer: {name!r}")
 
 
@@ -55,7 +67,7 @@ def rank_category(dataset: Dataset, category: str, scorer: str = "if") -> list[R
     members = dataset.members(category)
     if not members:
         raise ValueError(f"category {category} is empty")
-    score = _scorer(dataset, scorer)
+    score = score_function(dataset, scorer)
     scored = sorted(((score(j), j.id) for j in members), key=lambda t: (-t[0], t[1]))
     n = len(scored)
     out = []

@@ -3,9 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnifkit.cli import main, round_away
 from cnifkit.reference import TABLE4_DIVERGENT_CELLS, bundled_fixture_path
@@ -73,17 +76,39 @@ class TestExitCodes:
         assert main(["cnif", "--input", sample_csv, "--digits", "0"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "j1,2,2,2,1,2"
 
-    def test_module_entry_runs_main(self):
+    @staticmethod
+    def run_module(module):
         paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cnifkit.cli", "validate", "--input", "/nonexistent/x.csv"],
+        return subprocess.run(
+            [sys.executable, "-m", module, "validate", "--input", "/nonexistent/x.csv"],
             env=env,
             capture_output=True,
             text=True,
         )
+
+    def test_module_entry_runs_main(self):
+        proc = self.run_module("cnifkit.cli")
         assert proc.returncode == 2
         assert "file not found" in proc.stderr
+
+    def test_package_entry_runs_main(self):
+        proc = self.run_module("cnifkit")
+        assert proc.returncode == 2
+        assert "file not found" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command", [["stats", "cluster", "--edition", "science", "--k", "3"], ["reproduce-table1"]]
+    )
+    def test_repeated_fixture_code_is_usage_error(self, command, tmp_path, capsys):
+        text = Path(bundled_fixture_path()).read_text(encoding="utf-8")
+        assert text.splitlines()[2].startswith("S2,")
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_text(text.replace("\nS2,", "\nS1,", 1), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(command + ["--fixture", str(fixture), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: line 3: duplicate category code: S1\n"
+        assert not out.exists()
 
     def test_clean_validation_exits_zero(self, sample_csv, capsys):
         assert main(["validate", "--input", sample_csv]) == 0
@@ -224,3 +249,39 @@ class TestDeterminism:
         for target in (a, b):
             assert main(["stats", "pca", "--edition", "science", "--out", str(target)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_row_order_does_not_change_output(self, rnd):
+        rows = []
+        for i in range(rnd.randint(1, 30)):
+            cats = ";".join(rnd.sample("ABCDE", rnd.randint(1, 3)))
+            # small counts make tied scores; every IF, AIF and component stays defined
+            counts = [rnd.randint(1, 9), rnd.randint(1, 5), rnd.randint(1, 5), rnd.randint(1, 20)]
+            refs_total = rnd.randint(1, 50)
+            refs_jcr = rnd.randint(1, refs_total)
+            refs = [refs_total, refs_jcr, rnd.randint(1, refs_jcr)]
+            rows.append(",".join(map(str, [f"j{i:02d}", f"J{i}", cats, *counts, *refs])))
+        shuffled = rows[:]
+        rnd.shuffle(shuffled)
+        commands = [
+            ["cnif"],
+            ["rank", "--scorer", "if"],
+            ["rank", "--scorer", "cnif"],
+            ["gap"],
+            ["indicators"],
+            ["decompose"],
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = []
+            for k, order in enumerate((rows, shuffled)):
+                path = Path(tmp) / f"in{k}.csv"
+                path.write_text(HEADER + "\n" + "\n".join(order) + "\n")
+                results = []
+                for command in commands:
+                    out = Path(tmp) / f"out{k}.csv"
+                    assert main(command + ["--input", str(path), "--out", str(out)]) == 0
+                    results.append(out.read_bytes())
+                results.append((Path(tmp) / f"out{k}.csv.summary").read_bytes())  # from gap
+                outputs.append(results)
+            assert outputs[0] == outputs[1]

@@ -1,8 +1,8 @@
-"""The dataset-level memo behind cnif() and Dataset.members().
+"""The category table behind cnif(), the CNIF scorer's memo and Dataset.members().
 
 The uncached compositions of jcr_aggregate, meta_category_aggregate and
-impact_factor are the oracles.  The complexity guard counts aggregate calls
-through the CLI; it uses no clocks.
+impact_factor are the oracles.  The complexity guard counts table builds,
+aggregate calls and CNIF computations through the CLI; it uses no clocks.
 """
 from collections import Counter
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnifkit import indicators
+from cnifkit import indicators, ranking
 from cnifkit.cli import main
 from cnifkit.core_model import JournalRecord, UndefinedIndicatorError
 from cnifkit.indicators import (
@@ -69,6 +69,64 @@ def test_cnif_bit_identical_to_uncached_composition(rnd, n_datasets, repeat_ids)
     for d, k in calls:
         ds = datasets[d]
         assert cnif(ds.journals[k], ds).cnif == expected[d, k]
+
+
+def outcome(compute):
+    """The floats' bit patterns, or the error's type and message."""
+    try:
+        return [x.hex() for x in compute()]
+    except (UndefinedIndicatorError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+def uncached_score(ds, j):
+    if_value = impact_factor(j)
+    jcr_aif = aggregate_impact_factor(jcr_aggregate(ds))
+    meta_aif = aggregate_impact_factor(meta_category_aggregate(ds, j.categories))
+    if meta_aif == 0:
+        raise UndefinedIndicatorError(
+            f"journal {j.id}: zero meta-category AIF, normalization undefined"
+        )
+    score = jcr_aif / meta_aif
+    return if_value, meta_aif, jcr_aif, score, score * if_value
+
+
+def degenerate_dataset(rnd, n):
+    """Journals in random code order, a few listing a code twice (as only the
+    API allows); every member of a dead code has a zero window."""
+    dead = {c for c in CODES if rnd.random() < 0.3}
+    journals = []
+    for i in range(n):
+        cats = rnd.sample(CODES, rnd.randint(1, 3))
+        if rnd.random() < 0.1:
+            cats.append(rnd.choice(cats))
+        zero_window = not dead.isdisjoint(cats) or rnd.random() < 0.2
+        items_t1, items_t2 = (0, 0) if zero_window else (rnd.randint(0, 50), rnd.randint(1, 50))
+        cited = rnd.choice([0, rnd.randint(0, 10**6)])
+        journals.append(make_journal(f"j{i}", cats, items_t1, items_t2, cited))
+    return make_dataset(journals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_table_aifs_bit_identical_to_uncached_aggregates(rnd):
+    ds = degenerate_dataset(rnd, rnd.randint(1, 20))
+    # the dataset's own journals, and outside journals listing their codes
+    # shuffled or with an unregistered code
+    probes = list(ds.journals) + [
+        make_journal("p", rnd.sample(j.categories, len(j.categories)), 1, 1, 1)
+        for j in ds.journals
+    ]
+    probes.append(make_journal("q", [*rnd.choice(ds.journals).categories, "Z"], 1, 1, 1))
+    rnd.shuffle(probes)
+    for j in probes:
+        expected = outcome(lambda: uncached_score(ds, j))
+
+        def table_score():
+            s = cnif(j, ds)
+            return s.if_value, s.meta_aif, s.jcr_aif, s.score, s.cnif
+
+        assert outcome(table_score) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,7 +189,6 @@ GUARD_ROWS = BASE_ROWS + [
     "j7,Eta,A;B,7,8,9,30,300,250,50",
     "j8,Theta,A,2,3,4,5,,,",
 ]
-GUARD_SETS = {("A", "B"), ("A",), ("B",), ("B", "A"), ("C",)}
 
 CNIF_COMMANDS = (["cnif"], ["rank", "--scorer", "cnif"], ["gap"])
 
@@ -143,24 +200,28 @@ def write_csv(tmp_path, rows):
 
 
 @pytest.mark.parametrize("command", CNIF_COMMANDS, ids=lambda c: " ".join(c))
-def test_one_aggregate_per_database_and_per_category_tuple(command, tmp_path, monkeypatch):
-    jcr_calls = Counter()
-    meta_calls = Counter()
+def test_one_table_build_and_one_cnif_per_journal(command, tmp_path, monkeypatch):
+    calls = Counter()
+    scored = Counter()
 
-    def counting_jcr(dataset):
-        jcr_calls["jcr"] += 1
-        return jcr_aggregate(dataset)
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
 
-    def counting_meta(dataset, codes):
-        meta_calls[tuple(codes)] += 1
-        return meta_category_aggregate(dataset, codes)
+    def counting_cnif(journal, dataset):
+        scored[journal.id] += 1
+        return cnif(journal, dataset)
 
-    monkeypatch.setattr(indicators, "jcr_aggregate", counting_jcr)
-    monkeypatch.setattr(indicators, "meta_category_aggregate", counting_meta)
+    for name in ("jcr_aggregate", "meta_category_aggregate", "_category_table"):
+        monkeypatch.setattr(indicators, name, counting(name, getattr(indicators, name)))
+    monkeypatch.setattr(indicators, "cnif", counting_cnif)
+    monkeypatch.setattr(ranking, "cnif", counting_cnif)
     path = write_csv(tmp_path, GUARD_ROWS)
     assert main(command + ["--input", path, "--out", str(tmp_path / "out.csv")]) == 0
-    assert jcr_calls["jcr"] == 1
-    assert meta_calls == Counter(GUARD_SETS)
+    assert calls == Counter({"_category_table": 1})
+    assert scored == Counter(f"j{i}" for i in range(1, 9))
 
 
 ZERO_WINDOW = "journal j5: no citable items in target window, IF undefined"
