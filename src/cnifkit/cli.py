@@ -39,14 +39,14 @@ def _load_fixture(path: Optional[str]) -> list[CategoryFixtureRow]:
         return parse_category_fixture_csv(f)
 
 
-def _edition_rows(rows: list[CategoryFixtureRow], edition: str) -> list[CategoryFixtureRow]:
+def edition_rows(rows: list[CategoryFixtureRow], edition: str) -> list[CategoryFixtureRow]:
     if edition == "all":
         return rows
     wanted = Edition.SCIENCE if edition == "science" else Edition.SOCIAL_SCIENCE
     return [r for r in rows if r.edition == wanted]
 
 
-def _component_columns(rows: list[CategoryFixtureRow]) -> dict[str, list[Optional[float]]]:
+def component_columns(rows: list[CategoryFixtureRow]) -> dict[str, list[Optional[float]]]:
     return {
         "a": [r.printed_a for r in rows],
         "r": [r.printed_r for r in rows],
@@ -125,7 +125,7 @@ def cmd_decompose(args) -> int:
                 }
             )
     else:
-        for r in _edition_rows(_load_fixture(args.fixture), args.edition):
+        for r in edition_rows(_load_fixture(args.fixture), args.edition):
             p, w, b = indicators.fixture_reference_components(r)
             rows.append(
                 {
@@ -214,8 +214,8 @@ def cmd_gap(args) -> int:
 
 
 def cmd_stats_corr(args) -> int:
-    rows = _edition_rows(_load_fixture(args.fixture), args.edition)
-    matrix = stats.correlation_matrix(_component_columns(rows))
+    rows = edition_rows(_load_fixture(args.fixture), args.edition)
+    matrix = stats.correlation_matrix(component_columns(rows))
     if args.format == "json":
         rows_out = [
             {"variable": lab, **{c: round_away(float(matrix.values[i, j]), args.digits)
@@ -234,8 +234,8 @@ def cmd_stats_corr(args) -> int:
 
 
 def cmd_stats_pca(args) -> int:
-    rows = _edition_rows(_load_fixture(args.fixture), args.edition)
-    result = stats.pca_variance_shares(_component_columns(rows))
+    rows = edition_rows(_load_fixture(args.fixture), args.edition)
+    result = stats.pca_variance_shares(component_columns(rows))
     report = {
         "labels": list(result.labels),
         "eigenvalues": [round_away(float(v), 6) for v in result.eigen.eigenvalues],
@@ -249,8 +249,8 @@ def cmd_stats_pca(args) -> int:
 
 
 def cmd_stats_ks(args) -> int:
-    rows = _edition_rows(_load_fixture(args.fixture), args.edition)
-    columns = _component_columns(rows)
+    rows = edition_rows(_load_fixture(args.fixture), args.edition)
+    columns = component_columns(rows)
     out = []
     for name, col in columns.items():
         sample = [v for v in col if v is not None]
@@ -270,8 +270,8 @@ def cmd_stats_ks(args) -> int:
 
 
 def cmd_stats_hist(args) -> int:
-    rows = _edition_rows(_load_fixture(args.fixture), args.edition)
-    columns = _component_columns(rows)
+    rows = edition_rows(_load_fixture(args.fixture), args.edition)
+    columns = component_columns(rows)
     out = []
     for name, col in columns.items():
         sample = [v for v in col if v is not None]
@@ -294,7 +294,7 @@ def cmd_stats_hist(args) -> int:
 
 
 def cmd_stats_cluster(args) -> int:
-    rows = _edition_rows(_load_fixture(args.fixture), args.edition)
+    rows = edition_rows(_load_fixture(args.fixture), args.edition)
     labeled = [
         (r.code, [r.printed_a, r.printed_r, r.printed_p, r.printed_w, r.printed_b])
         for r in rows
@@ -352,8 +352,8 @@ def cmd_reproduce_table3(args) -> int:
     failures = []
     out = []
     for edition in ("science", "social"):
-        sub = _edition_rows(rows, edition)
-        matrix = stats.correlation_matrix(_component_columns(sub))
+        sub = edition_rows(rows, edition)
+        matrix = stats.correlation_matrix(component_columns(sub))
         for (x, y), expected in reference.CORRELATIONS[edition].items():
             got = matrix.get(x, y)
             ok = abs(got - expected) <= reference.CORRELATION_TOLERANCE
@@ -368,7 +368,7 @@ def cmd_reproduce_table3(args) -> int:
                     "status": "ok" if ok else "MISMATCH",
                 }
             )
-        result = stats.pca_variance_shares(_component_columns(sub))
+        result = stats.pca_variance_shares(component_columns(sub))
         top_k, expected_share = reference.PCA_TOP_SHARE[edition]
         shares = sorted(result.attributed_shares.values(), reverse=True)
         got_share = sum(shares[:top_k])
@@ -393,7 +393,7 @@ def cmd_reproduce_table4(args) -> int:
     failures = []
     out = []
     for edition in ("science", "social"):
-        columns = _component_columns(_edition_rows(rows, edition))
+        columns = component_columns(edition_rows(rows, edition))
         for name, col in columns.items():
             sample = [v for v in col if v is not None]
             h = stats.histogram_by_sd(sample)

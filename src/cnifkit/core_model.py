@@ -20,7 +20,7 @@ class UndefinedIndicatorError(ValueError):
     """A denominator required by an indicator is zero."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JournalRecord:
     """One journal's per-year counts and category memberships.
 

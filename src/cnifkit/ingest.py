@@ -5,14 +5,13 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields as dc_fields
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable, Iterator, Optional
 
 from .core_model import (
     CategoryInfo,
     Dataset,
     Edition,
     JournalRecord,
-    validate,
 )
 
 JOURNAL_HEADER = [
@@ -99,9 +98,23 @@ class CategoryFixtureRow:
         )
 
 
-def _expect_header(row: list[str], expected: list[str], line: int) -> None:
-    if row != expected:
-        raise ParseError(line, f"bad header: expected {expected}, got {row}")
+def _records(stream: IO[str], header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Check the header row, then yield each record with its first physical
+    line; malformed CSV raises ParseError at the record's line."""
+    reader = csv.reader(stream)
+    end = 0  # last physical line read
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(1, "empty input, header row required")
+        if first != header:
+            raise ParseError(1, f"bad header: expected {header}, got {first}")
+        end = reader.line_num
+        for row in reader:
+            yield end + 1, row
+            end = reader.line_num
+    except csv.Error as exc:
+        raise ParseError(end + 1, str(exc)) from None
 
 
 def _parse_count(value: str, column: str, line: int) -> int:
@@ -114,67 +127,59 @@ def _parse_count(value: str, column: str, line: int) -> int:
     return n
 
 
-def _parse_optional_count(value: str, column: str, line: int) -> Optional[int]:
-    if value == "":
-        return None
-    return _parse_count(value, column, line)
-
-
 def parse_journals_csv(stream: IO[str], year: int = 0, strict: bool = True) -> Dataset:
     """Parse the journal-level CSV schema into a validated Dataset.
 
-    The category registry is built from the codes encountered; editions are
-    unknown at the journal level, so every entry is tagged Union.  With
-    ``strict=False`` the structural checks still apply but record-level
-    violations are left for the caller to inspect via ``validate``.
+    One streaming pass checks each record as it is read and raises a
+    structural error at once.  ``strict`` adds ``validate``'s two cross-field
+    rules; the first record breaking one is raised after the last row, so
+    structural errors anywhere come first.  The category registry is built
+    from the codes encountered; editions are unknown at the journal level, so
+    every entry is tagged Union.
     """
-    reader = csv.reader(stream)
-    rows = list(reader)
-    if not rows:
-        raise ParseError(1, "empty input, header row required")
-    _expect_header(rows[0], JOURNAL_HEADER, 1)
     journals = []
     seen: set[str] = set()
     codes: set[str] = set()
-    for offset, row in enumerate(rows[1:], start=2):
+    violation = None
+    for line, row in _records(stream, JOURNAL_HEADER):
         if len(row) != len(JOURNAL_HEADER):
-            raise ParseError(offset, f"expected {len(JOURNAL_HEADER)} fields, got {len(row)}")
-        jid = row[0]
+            raise ParseError(line, f"expected {len(JOURNAL_HEADER)} fields, got {len(row)}")
+        jid, name, cats, t, t1, t2, cited, rt, rj, rjw = row
         if not jid:
-            raise ParseError(offset, "empty journal id")
+            raise ParseError(line, "empty journal id")
         if jid in seen:
-            raise ParseError(offset, f"duplicate journal id: {jid}")
+            raise ParseError(line, f"duplicate journal id: {jid}")
         seen.add(jid)
-        categories = tuple(c for c in row[2].split(";") if c)
-        if not categories:
-            raise ParseError(offset, f"journal {jid}: empty category list")
-        if len(set(categories)) != len(categories):
-            raise ParseError(offset, f"journal {jid}: duplicate category codes")
+        categories = cats.split(";")
+        if "" in categories:
+            categories = [c for c in categories if c]
+            if not categories:
+                raise ParseError(line, f"journal {jid}: empty category list")
+        if len(categories) > 1 and len(set(categories)) != len(categories):
+            raise ParseError(line, f"journal {jid}: duplicate category codes")
         codes.update(categories)
-        journals.append(
-            JournalRecord(
-                id=jid,
-                name=row[1],
-                categories=categories,
-                items_t=_parse_count(row[3], "items_t", offset),
-                items_t1=_parse_count(row[4], "items_t1", offset),
-                items_t2=_parse_count(row[5], "items_t2", offset),
-                cited_in_window=_parse_count(row[6], "cited_in_window", offset),
-                refs_total=_parse_optional_count(row[7], "refs_total", offset),
-                refs_jcr=_parse_optional_count(row[8], "refs_jcr", offset),
-                refs_jcr_in_window=_parse_optional_count(row[9], "refs_jcr_in_window", offset),
-            )
-        )
+        try:
+            t, t1, t2, cited = int(t), int(t1), int(t2), int(cited)
+            rt = int(rt) if rt else None
+            rj = int(rj) if rj else None
+            rjw = int(rjw) if rjw else None
+            valid = (t | t1 | t2 | cited | (rt or 0) | (rj or 0) | (rjw or 0)) >= 0
+        except ValueError:
+            valid = False
+        if not valid:  # raise the first bad column's message
+            for i, value in enumerate(row[3:], start=3):
+                if value or i < 7:  # the three refs_* columns may be empty
+                    _parse_count(value, JOURNAL_HEADER[i], line)
+        if strict and violation is None and rj is not None:
+            if rt is not None and rj > rt:
+                violation = ParseError(line, f"journal {jid}: refs_jcr exceeds refs_total")
+            elif rjw is not None and rjw > rj:
+                violation = ParseError(line, f"journal {jid}: refs_jcr_in_window exceeds refs_jcr")
+        journals.append(JournalRecord(jid, name, categories, t, t1, t2, cited, rt, rj, rjw))
+    if violation is not None:
+        raise violation
     registry = {c: CategoryInfo(c, c, Edition.UNION) for c in codes}
-    dataset = Dataset(year=year, journals=tuple(journals), registry=registry)
-    if strict:
-        bad = validate(dataset)
-        if bad:
-            first = bad[0]
-            # ids are unique here and each data row made one journal, in order
-            line = 2 + next(i for i, j in enumerate(journals) if j.id == first.record_id)
-            raise ParseError(line, f"journal {first.record_id}: {first.rule}")
-    return dataset
+    return Dataset(year=year, journals=tuple(journals), registry=registry)
 
 
 def _parse_printed(value: str, column: str, line: int) -> Optional[float]:
@@ -188,14 +193,9 @@ def _parse_printed(value: str, column: str, line: int) -> Optional[float]:
 
 def parse_category_fixture_csv(stream: IO[str]) -> list[CategoryFixtureRow]:
     """Parse the category-level fixture schema; "-" marks absent printed values."""
-    reader = csv.reader(stream)
-    rows = list(reader)
-    if not rows:
-        raise ParseError(1, "empty input, header row required")
-    _expect_header(rows[0], FIXTURE_HEADER, 1)
     out = []
     seen: set[str] = set()
-    for offset, row in enumerate(rows[1:], start=2):
+    for offset, row in _records(stream, FIXTURE_HEADER):
         if len(row) != len(FIXTURE_HEADER):
             raise ParseError(offset, f"expected {len(FIXTURE_HEADER)} fields, got {len(row)}")
         if row[0] in seen:

@@ -23,8 +23,7 @@ import numpy as np
 import pytest
 
 from cnifkit import indicators
-from cnifkit.cli import round_away
-from cnifkit.core_model import Edition
+from cnifkit.cli import component_columns, edition_rows, round_away
 from cnifkit.ingest import emit_journals_csv, parse_journals_csv
 from cnifkit.ranking import (
     RankingEntry,
@@ -72,21 +71,6 @@ def criterion(number, title):
         return run
 
     return wrap
-
-
-def component_columns(rows):
-    return {
-        "a": [r.printed_a for r in rows],
-        "r": [r.printed_r for r in rows],
-        "p": [r.printed_p for r in rows],
-        "w": [r.printed_w for r in rows],
-        "b": [r.printed_b for r in rows],
-    }
-
-
-def edition_rows(rows, edition):
-    wanted = Edition.SCIENCE if edition == "science" else Edition.SOCIAL_SCIENCE
-    return [r for r in rows if r.edition == wanted]
 
 
 @criterion(1, "reference-table component reproduction within +-0.01, under 1 s")

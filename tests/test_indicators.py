@@ -1,4 +1,9 @@
+import dataclasses
+import json
+import math
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,8 @@ from cnifkit.core_model import (
     UndefinedIndicatorError,
 )
 from cnifkit import indicators
+from cnifkit.cli import main
+from cnifkit.ingest import emit_journals_csv
 from cnifkit.indicators import (
     aggregate_impact_factor,
     category_aggregate,
@@ -350,3 +357,63 @@ class TestCnif:
             assert after.score == pytest.approx(before.score, rel=1e-12)
             assert after.cnif == pytest.approx(before.cnif * k, rel=1e-12)
 
+
+
+def _metamorphic_journals(rng: random.Random) -> list:
+    """Journals in codes A-E with positive windows and citations, so every
+    IF and CNIF is defined; one journal lists A alone."""
+    ids = ["solo"] + [f"j{i}" for i in range(rng.randint(3, 14))]
+    return [
+        make_journal(
+            jid,
+            ["A"] if jid == "solo" else rng.sample("ABCDE", rng.randint(1, 3)),
+            rng.randint(1, 40),
+            rng.randint(0, 40),
+            rng.randint(1, 90),
+        )
+        for jid in ids
+    ]
+
+
+class TestMetamorphic:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_copying_a_categorys_members_keeps_its_aifs(self, seed):
+        rng = random.Random(seed)
+        journals = _metamorphic_journals(rng)
+        ds = make_dataset(journals)
+        members = ds.members("A")
+        copies = [dataclasses.replace(j, id=j.id + "-copy") for j in members]
+        doubled = make_dataset(journals + copies)
+        before = aggregate_impact_factor(category_aggregate(ds, "A"))
+        assert aggregate_impact_factor(category_aggregate(doubled, "A")) == before
+        # a journal listing A alone has A as its union
+        for j in (journals[0], copies[members.index(journals[0])]):
+            assert cnif(j, doubled).meta_aif == before == cnif(journals[0], ds).meta_aif
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(2, 1000))
+    def test_scaling_citations_scales_if_and_keeps_cnif_ranks(self, seed, k):
+        rng = random.Random(seed)
+        journals = _metamorphic_journals(rng)
+        scaled = [dataclasses.replace(j, cited_in_window=k * j.cited_in_window) for j in journals]
+        for j, js in zip(journals, scaled):
+            assert math.isclose(impact_factor(js), k * impact_factor(j), rel_tol=1e-12)
+        ranks = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, js in enumerate((journals, scaled)):
+                path, out = os.path.join(tmp, f"in{i}.csv"), os.path.join(tmp, f"out{i}.json")
+                with open(path, "w", encoding="utf-8", newline="") as f:
+                    emit_journals_csv(make_dataset(js), f)
+                argv = ["rank", "--input", path, "--scorer", "cnif", "--format", "json"]
+                assert main(argv + ["--out", out]) == 0
+                with open(out, encoding="utf-8") as f:
+                    rows = json.load(f)
+                ranks.append({(r["category"], r["journal_id"]): r["rank"] for r in rows})
+        assert ranks[0].keys() == ranks[1].keys()
+        ds = make_dataset(journals)
+        score = {j.id: cnif(j, ds).cnif for j in journals}
+        for (code, jid), rank in ranks[0].items():
+            others = [m.id for m in ds.members(code) if m.id != jid]
+            if not any(math.isclose(score[jid], score[m], rel_tol=1e-12) for m in others):
+                assert ranks[1][code, jid] == rank

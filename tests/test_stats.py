@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnifkit.cli import component_columns, edition_rows
 from cnifkit.stats import (
     Dendrogram,
     Matrix,
@@ -21,20 +22,6 @@ from cnifkit.stats import (
     symmetric_eigendecomposition,
     ward_cluster,
 )
-
-
-def component_columns(rows):
-    return {
-        "a": [r.printed_a for r in rows],
-        "r": [r.printed_r for r in rows],
-        "p": [r.printed_p for r in rows],
-        "w": [r.printed_w for r in rows],
-        "b": [r.printed_b for r in rows],
-    }
-
-
-def edition_rows(fixture_rows, edition):
-    return [r for r in fixture_rows if r.edition.value == edition]
 
 
 class TestCorrelation:
