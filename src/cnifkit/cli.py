@@ -1,22 +1,26 @@
-"""Command-line front end: ingest -> indicators -> ranking/stats -> reports."""
+"""Command-line front end: ingest -> indicators -> ranking/stats -> reports.
+
+Each command is a ``COMMANDS`` entry whose row function returns the exit code
+and every output's rows; ``main`` writes them only after all are computed.
+"""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Optional
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, Optional
 
-from . import indicators, ranking, reference, stats
-from .core_model import Dataset, Edition, UndefinedIndicatorError, validate
-from .ingest import (
-    CategoryFixtureRow,
-    ParseError,
-    dumps_report,
-    parse_category_fixture_csv,
-    parse_journals_csv,
-)
+from . import indicators, ingest, ranking, reference, stats
+from .core_model import Edition, validate
+from .ingest import CategoryFixtureRow
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
+COMPONENTS = ("a", "r", "p", "w", "b")
+
+Outputs = tuple[int, dict[str, list[dict]]]  # exit code, {--out suffix: rows}
 
 
 def round_away(x: float, digits: int) -> float:
@@ -28,15 +32,11 @@ def round_away(x: float, digits: int) -> float:
     return -int(-scaled + 0.5) / scale
 
 
-# utf-8-sig drops the byte-order mark that Excel writes before the header
-def _load_dataset(path: str, strict: bool = True) -> Dataset:
-    with open(path, encoding="utf-8-sig", newline="") as f:
-        return parse_journals_csv(f, strict=strict)
-
-
-def _load_fixture(path: Optional[str]) -> list[CategoryFixtureRow]:
-    with open(path or reference.bundled_fixture_path(), encoding="utf-8-sig", newline="") as f:
-        return parse_category_fixture_csv(f)
+def _fixture(args) -> list[CategoryFixtureRow]:
+    """The fixture rows of the chosen --edition; all rows for a command without one."""
+    path = args.fixture or reference.bundled_fixture_path()
+    rows = ingest.read_csv(path, ingest.parse_category_fixture_csv)
+    return edition_rows(rows, getattr(args, "edition", "all"))
 
 
 def edition_rows(rows: list[CategoryFixtureRow], edition: str) -> list[CategoryFixtureRow]:
@@ -47,21 +47,7 @@ def edition_rows(rows: list[CategoryFixtureRow], edition: str) -> list[CategoryF
 
 
 def component_columns(rows: list[CategoryFixtureRow]) -> dict[str, list[Optional[float]]]:
-    return {
-        "a": [r.printed_a for r in rows],
-        "r": [r.printed_r for r in rows],
-        "p": [r.printed_p for r in rows],
-        "w": [r.printed_w for r in rows],
-        "b": [r.printed_b for r in rows],
-    }
-
-
-def _write(text: str, path: Optional[str]) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+    return {k: list(map(attrgetter(f"printed_{k}"), rows)) for k in COMPONENTS}
 
 
 def _digits(value: str) -> int:
@@ -75,72 +61,59 @@ def _fmt(x: Optional[float], digits: int) -> str:
     return "" if x is None else f"{round_away(x, digits):.{digits}f}"
 
 
-def cmd_validate(args) -> int:
-    report = validate(_load_dataset(args.input, strict=False))
+def _cells(obj, names, digits: int) -> dict[str, str]:
+    return {name: _fmt(getattr(obj, name), digits) for name in names}
+
+
+def _validate_rows(args) -> Outputs:
+    report = validate(ingest.read_csv(args.input, ingest.parse_journals_csv, strict=False))
     rows = [{"record_id": v.record_id, "rule": v.rule} for v in report]
-    _write(dumps_report(rows, args.format), args.out)
-    return DATA_ERROR if report else 0
+    return (DATA_ERROR if report else 0), {"": rows}
 
 
-def cmd_indicators(args) -> int:
-    dataset = _load_dataset(args.input)
+def _indicator_rows(args) -> Outputs:
+    dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
     rows = []
     for code in dataset.category_codes():
         agg = indicators.category_aggregate(dataset, code)
         row = {"category": code, "journals": len(dataset.members(code))}
         try:
             row["aif"] = _fmt(indicators.aggregate_impact_factor(agg), args.digits)
-        except UndefinedIndicatorError:
+        except ValueError:  # UndefinedIndicatorError
             row["aif"] = ""
         try:
-            cv = indicators.components(agg)
-            for k in ("a", "r", "p", "w", "b"):
-                row[k] = _fmt(getattr(cv, k), args.digits)
-        except (UndefinedIndicatorError, ValueError):
-            for k in ("a", "r", "p", "w", "b"):
-                row[k] = ""
+            row.update(_cells(indicators.components(agg), COMPONENTS, args.digits))
+        except ValueError:
+            row.update(dict.fromkeys(COMPONENTS, ""))
         row["reference_exclusions"] = agg.reference_exclusions
         rows.append(row)
-    _write(dumps_report(rows, args.format), args.out)
-    return 0
+    return 0, {"": rows}
 
 
-def cmd_decompose(args) -> int:
+def _decompose_rows(args) -> Outputs:
     rows = []
     if args.input:
-        dataset = _load_dataset(args.input)
+        dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
         for code in dataset.category_codes():
             agg = indicators.category_aggregate(dataset, code)
             cv = indicators.components(agg)
             rows.append(
                 {
                     "category": code,
-                    "a": _fmt(cv.a, args.digits),
-                    "r": _fmt(cv.r, args.digits),
-                    "p": _fmt(cv.p, args.digits),
-                    "w": _fmt(cv.w, args.digits),
-                    "b": _fmt(cv.b, args.digits),
+                    **_cells(cv, COMPONENTS, args.digits),
                     "product": _fmt(indicators.recompose(cv), args.digits),
                     "aif": _fmt(indicators.aggregate_impact_factor(agg), args.digits),
                 }
             )
     else:
-        for r in edition_rows(_load_fixture(args.fixture), args.edition):
-            p, w, b = indicators.fixture_reference_components(r)
-            rows.append(
-                {
-                    "category": r.code,
-                    "p": _fmt(p, args.digits),
-                    "w": _fmt(w, args.digits),
-                    "b": _fmt(b, args.digits),
-                }
-            )
-    _write(dumps_report(rows, args.format), args.out)
-    return 0
+        for r in _fixture(args):
+            pwb = (_fmt(v, args.digits) for v in indicators.fixture_reference_components(r))
+            rows.append({"category": r.code, **dict(zip("pwb", pwb))})
+    return 0, {"": rows}
 
 
-def cmd_cnif(args) -> int:
-    dataset = _load_dataset(args.input)
+def _cnif_rows(args) -> Outputs:
+    dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
     rows = []
     for j in sorted(dataset.journals, key=lambda j: j.id):
         score = indicators.cnif(j, dataset)
@@ -148,39 +121,31 @@ def cmd_cnif(args) -> int:
             {
                 "journal_id": j.id,
                 "if": _fmt(score.if_value, args.digits),
-                "meta_aif": _fmt(score.meta_aif, args.digits),
-                "jcr_aif": _fmt(score.jcr_aif, args.digits),
-                "score": _fmt(score.score, args.digits),
-                "cnif": _fmt(score.cnif, args.digits),
+                **_cells(score, ("meta_aif", "jcr_aif", "score", "cnif"), args.digits),
             }
         )
-    _write(dumps_report(rows, args.format), args.out)
-    return 0
+    return 0, {"": rows}
 
 
-def cmd_rank(args) -> int:
-    dataset = _load_dataset(args.input)
-    rows = []
-    for code in dataset.category_codes():
-        if not dataset.members(code):
-            continue
-        for e in ranking.rank_category(dataset, code, args.scorer):
-            rows.append(
-                {
-                    "category": e.category,
-                    "journal_id": e.journal_id,
-                    "score_desc": args.scorer,  # higher score = better (lower) percentile
-                    "score": _fmt(e.score, args.digits),
-                    "rank": e.rank,
-                    "percentile": _fmt(e.percentile, args.digits),
-                }
-            )
-    _write(dumps_report(rows, args.format), args.out)
-    return 0
+def _rank_rows(args) -> Outputs:
+    dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
+    rows = [
+        {
+            "category": e.category,
+            "journal_id": e.journal_id,
+            "score_desc": args.scorer,  # higher score = better (lower) percentile
+            "score": _fmt(e.score, args.digits),
+            "rank": e.rank,
+            "percentile": _fmt(e.percentile, args.digits),
+        }
+        for code in dataset.category_codes()
+        for e in ranking.rank_category(dataset, code, args.scorer)
+    ]
+    return 0, {"": rows}
 
 
-def cmd_gap(args) -> int:
-    dataset = _load_dataset(args.input)
+def _gap_rows(args) -> Outputs:
+    dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
     summary, reports = ranking.compare_gaps(dataset)
     cnif_score = ranking.score_function(dataset, "cnif")
     by_id = {j.id: j for j in dataset.journals}
@@ -197,45 +162,26 @@ def cmd_gap(args) -> int:
                 "gap_cnif": _fmt(r.gap_cnif, args.digits),
             }
         )
-    summary_rows = [
-        {
-            "journal_count": summary.journal_count,
-            "max_gap_if": _fmt(summary.max_gap_if, args.digits),
-            "max_gap_cnif": _fmt(summary.max_gap_cnif, args.digits),
-            "mean_gap_if": _fmt(summary.mean_gap_if, args.digits),
-            "mean_gap_cnif": _fmt(summary.mean_gap_cnif, args.digits),
-            "fraction_reduced": _fmt(summary.fraction_reduced, args.digits),
-        }
-    ]
-    _write(dumps_report(rows, args.format), args.out)
-    summary_out = f"{args.out}.summary" if args.out else None
-    _write(dumps_report(summary_rows, args.format), summary_out)
-    return 0
+    measures = ("max_gap_if", "max_gap_cnif", "mean_gap_if", "mean_gap_cnif", "fraction_reduced")
+    summary_row = {"journal_count": summary.journal_count, **_cells(summary, measures, args.digits)}
+    return 0, {"": rows, ".summary": [summary_row]}
 
 
-def cmd_stats_corr(args) -> int:
-    rows = edition_rows(_load_fixture(args.fixture), args.edition)
-    matrix = stats.correlation_matrix(component_columns(rows))
+def _corr_rows(args) -> Outputs:
+    matrix = stats.correlation_matrix(component_columns(_fixture(args)))
     if args.format == "json":
-        rows_out = [
-            {"variable": lab, **{c: round_away(float(matrix.values[i, j]), args.digits)
-                                 for j, c in enumerate(matrix.labels)}}
-            for i, lab in enumerate(matrix.labels)
-        ]
-        _write(dumps_report(rows_out, "json"), args.out)
-    else:
-        lines = ["," + ",".join(matrix.labels)]
-        for i, lab in enumerate(matrix.labels):
-            lines.append(
-                lab + "," + ",".join(_fmt(float(v), args.digits) for v in matrix.values[i])
-            )
-        _write("\n".join(lines) + "\n", args.out)
-    return 0
+        first, cell = "variable", lambda v: round_away(float(v), args.digits)
+    else:  # the CSV header row starts with an empty cell
+        first, cell = "", lambda v: _fmt(float(v), args.digits)
+    rows = [
+        {first: lab, **{c: cell(v) for c, v in zip(matrix.labels, matrix.values[i])}}
+        for i, lab in enumerate(matrix.labels)
+    ]
+    return 0, {"": rows}
 
 
-def cmd_stats_pca(args) -> int:
-    rows = edition_rows(_load_fixture(args.fixture), args.edition)
-    result = stats.pca_variance_shares(component_columns(rows))
+def _pca_rows(args) -> Outputs:
+    result = stats.pca_variance_shares(component_columns(_fixture(args)))
     report = {
         "labels": list(result.labels),
         "eigenvalues": [round_away(float(v), 6) for v in result.eigen.eigenvalues],
@@ -244,257 +190,211 @@ def cmd_stats_pca(args) -> int:
         "assignment": list(result.assignment),
         "attributed_shares": {k: round_away(v, 6) for k, v in result.attributed_shares.items()},
     }
-    _write(dumps_report([report], "json"), args.out)
-    return 0
+    return 0, {"": [report]}
 
 
-def cmd_stats_ks(args) -> int:
-    rows = edition_rows(_load_fixture(args.fixture), args.edition)
-    columns = component_columns(rows)
-    out = []
-    for name, col in columns.items():
+def _ks_rows(args) -> Outputs:
+    rows = []
+    for name, col in component_columns(_fixture(args)).items():
         sample = [v for v in col if v is not None]
         res = stats.ks_normality(sample, alpha=args.alpha, lilliefors=args.lilliefors)
-        out.append(
+        rows.append(
             {
                 "component": name,
                 "n": res.sample_size,
-                "statistic": _fmt(res.statistic, args.digits),
-                "critical_value": _fmt(res.critical_value, args.digits),
+                **_cells(res, ("statistic", "critical_value"), args.digits),
                 "alpha": res.alpha,
                 "reject_normality": res.reject,
             }
         )
-    _write(dumps_report(out, args.format), args.out)
-    return 0
+    return 0, {"": rows}
 
 
-def cmd_stats_hist(args) -> int:
-    rows = edition_rows(_load_fixture(args.fixture), args.edition)
-    columns = component_columns(rows)
-    out = []
-    for name, col in columns.items():
-        sample = [v for v in col if v is not None]
-        h = stats.histogram_by_sd(sample)
-        row = {
-            "component": name,
-            "n": h.sample_size,
-            "dropped": len(col) - h.sample_size,
-            "mean": _fmt(h.mean, args.digits),
-            "sd": _fmt(h.sd, args.digits),
-        }
-        for i, c in enumerate(h.bin_counts):
-            row[f"bin{i}"] = c
-        row["coverage_1s"] = _fmt(h.coverage_1s, 2)
-        row["coverage_2s"] = _fmt(h.coverage_2s, 2)
-        row["coverage_3s"] = _fmt(h.coverage_3s, 2)
-        out.append(row)
-    _write(dumps_report(out, args.format), args.out)
-    return 0
+def _hist_rows(args) -> Outputs:
+    rows = []
+    for name, col in component_columns(_fixture(args)).items():
+        h = stats.histogram_by_sd([v for v in col if v is not None])
+        rows.append(
+            {
+                "component": name,
+                "n": h.sample_size,
+                "dropped": len(col) - h.sample_size,
+                **_cells(h, ("mean", "sd"), args.digits),
+                **{f"bin{i}": c for i, c in enumerate(h.bin_counts)},
+                **_cells(h, ("coverage_1s", "coverage_2s", "coverage_3s"), 2),
+            }
+        )
+    return 0, {"": rows}
 
 
-def cmd_stats_cluster(args) -> int:
-    rows = edition_rows(_load_fixture(args.fixture), args.edition)
-    labeled = [
-        (r.code, [r.printed_a, r.printed_r, r.printed_p, r.printed_w, r.printed_b])
-        for r in rows
-        if r.is_complete()
-    ]
-    labels = [lab for lab, _ in labeled]
-    vectors = [vec for _, vec in labeled]
-    dendrogram = stats.ward_cluster(labels, vectors)
-    merge_rows = [
-        {
-            "left": m.left,
-            "right": m.right,
-            "height": _fmt(m.height, 6),
-            "new_id": m.new_id,
-            "size": m.size,
-        }
-        for m in dendrogram.merges
-    ]
-    _write(dumps_report(merge_rows, args.format), args.out)
+def _cluster_rows(args) -> Outputs:
+    complete = [r for r in _fixture(args) if r.is_complete()]
+    vectors = list(zip(*component_columns(complete).values()))
+    dendrogram = stats.ward_cluster([r.code for r in complete], vectors)
+    # each merge's fields in their order, the height shown at 6 digits
+    outputs = {"": [{**vars(m), "height": _fmt(m.height, 6)} for m in dendrogram.merges]}
     if args.k is not None or args.height is not None:
-        assignment = stats.cut_dendrogram(dendrogram, k=args.k, height=args.height)
-        cut_rows = [{"label": lab, "cluster": c} for lab, c in sorted(assignment.items())]
-        cut_out = f"{args.out}.clusters" if args.out else None
-        _write(dumps_report(cut_rows, args.format), cut_out)
-    return 0
+        cut = stats.cut_dendrogram(dendrogram, k=args.k, height=args.height)
+        outputs[".clusters"] = [{"label": lab, "cluster": c} for lab, c in sorted(cut.items())]
+    return 0, outputs
 
 
-def cmd_reproduce_table1(args) -> int:
-    rows = _load_fixture(args.fixture)
-    failures = 0
-    out = []
-    for r in rows:
-        p, w, b = indicators.fixture_reference_components(r)
+# The reproductions share one rule: a check that misses its reference is a
+# MISMATCH row, and any MISMATCH row makes the command exit 1.
+def _check(key: dict, got: float, want: float, tolerance: float, digits: tuple[int, int]) -> dict:
+    """A check row: its key columns, both values at the given digits, and its status."""
+    shown = {"computed": f"{got:.{digits[0]}f}", "reference": f"{want:.{digits[1]}f}"}
+    return {**key, **shown, "status": "ok" if abs(got - want) <= tolerance else "MISMATCH"}
+
+
+def _checked(rows: list[dict]) -> Outputs:
+    return (DATA_ERROR if any(r["status"] == "MISMATCH" for r in rows) else 0), {"": rows}
+
+
+def _table1_rows(args) -> Outputs:
+    fixture = _fixture(args)
+    rows = []
+    for r in fixture:
         row = {"category": r.code}
         ok = True
-        for name, computed, printed in (("p", p, r.printed_p), ("w", w, r.printed_w), ("b", b, r.printed_b)):
+        computed = indicators.fixture_reference_components(r)
+        for name, value, printed in zip("pwb", computed, (r.printed_p, r.printed_w, r.printed_b)):
             if printed is None:
                 row[name] = "absent"
                 continue
-            rounded = round_away(computed, 2)
+            rounded = round_away(value, 2)
             match = abs(rounded - printed) <= 0.01 + 1e-12
             row[name] = f"{rounded:.2f}" + ("" if match else f"!={printed:.2f}")
             ok = ok and match
         row["status"] = "ok" if ok else "MISMATCH"
-        if not ok:
-            failures += 1
-        out.append(row)
-    out.append({"category": "TOTAL", "p": "", "w": "", "b": "", "status": f"{failures} mismatches / {len(rows)} rows"})
-    _write(dumps_report(out, args.format), args.out)
-    return 0 if failures == 0 else DATA_ERROR
+        rows.append(row)
+    total = f"{sum(r['status'] == 'MISMATCH' for r in rows)} mismatches / {len(fixture)} rows"
+    rows.append({"category": "TOTAL", "p": "", "w": "", "b": "", "status": total})
+    return _checked(rows)
 
 
-def cmd_reproduce_table3(args) -> int:
-    rows = _load_fixture(args.fixture)
-    failures = []
-    out = []
+def _table3_rows(args) -> Outputs:
+    fixture = _fixture(args)
+    rows = []
     for edition in ("science", "social"):
-        sub = edition_rows(rows, edition)
-        matrix = stats.correlation_matrix(component_columns(sub))
-        for (x, y), expected in reference.CORRELATIONS[edition].items():
+        columns = component_columns(edition_rows(fixture, edition))
+        matrix = stats.correlation_matrix(columns)
+        for (x, y), want in reference.CORRELATIONS[edition].items():
+            key = {"edition": edition, "check": f"corr({x},{y})"}
             got = matrix.get(x, y)
-            ok = abs(got - expected) <= reference.CORRELATION_TOLERANCE
-            if not ok:
-                failures.append(f"{edition} corr({x},{y})")
-            out.append(
-                {
-                    "edition": edition,
-                    "check": f"corr({x},{y})",
-                    "computed": f"{got:.4f}",
-                    "reference": f"{expected:.2f}",
-                    "status": "ok" if ok else "MISMATCH",
-                }
-            )
-        result = stats.pca_variance_shares(component_columns(sub))
-        top_k, expected_share = reference.PCA_TOP_SHARE[edition]
-        shares = sorted(result.attributed_shares.values(), reverse=True)
-        got_share = sum(shares[:top_k])
-        ok = abs(got_share - expected_share) <= reference.PCA_TOP_SHARE_TOLERANCE
-        if not ok:
-            failures.append(f"{edition} pca top-{top_k}")
-        out.append(
-            {
-                "edition": edition,
-                "check": f"pca top-{top_k} share",
-                "computed": f"{got_share:.4f}",
-                "reference": f"{expected_share:.4f}",
-                "status": "ok" if ok else "MISMATCH",
-            }
-        )
-    _write(dumps_report(out, args.format), args.out)
-    return 0 if not failures else DATA_ERROR
+            rows.append(_check(key, got, want, reference.CORRELATION_TOLERANCE, (4, 2)))
+        top_k, want = reference.PCA_TOP_SHARE[edition]
+        shares = sorted(stats.pca_variance_shares(columns).attributed_shares.values(), reverse=True)
+        key = {"edition": edition, "check": f"pca top-{top_k} share"}
+        got = sum(shares[:top_k])
+        rows.append(_check(key, got, want, reference.PCA_TOP_SHARE_TOLERANCE, (4, 4)))
+    return _checked(rows)
 
 
-def cmd_reproduce_table4(args) -> int:
-    rows = _load_fixture(args.fixture)
-    failures = []
-    out = []
+def _table4_rows(args) -> Outputs:
+    fixture = _fixture(args)
+    rows = []
     for edition in ("science", "social"):
-        columns = component_columns(edition_rows(rows, edition))
-        for name, col in columns.items():
-            sample = [v for v in col if v is not None]
-            h = stats.histogram_by_sd(sample)
-            expected = reference.SD_COVERAGE[edition][name]
-            for band, got, want in zip(
-                ("1s", "2s", "3s"), (h.coverage_1s, h.coverage_2s, h.coverage_3s), expected
-            ):
-                ok = abs(got - want) <= reference.SD_COVERAGE_TOLERANCE
-                if not ok:
-                    failures.append(f"{edition} {name} +-{band}")
-                out.append(
-                    {
-                        "edition": edition,
-                        "component": name,
-                        "band": band,
-                        "computed": f"{got:.2f}",
-                        "reference": f"{want:.2f}",
-                        "status": "ok" if ok else "MISMATCH",
-                    }
-                )
-    _write(dumps_report(out, args.format), args.out)
-    return 0 if not failures else DATA_ERROR
+        for name, col in component_columns(edition_rows(fixture, edition)).items():
+            h = stats.histogram_by_sd([v for v in col if v is not None])
+            for band, want in zip(("1s", "2s", "3s"), reference.SD_COVERAGE[edition][name]):
+                key = {"edition": edition, "component": name, "band": band}
+                got = getattr(h, f"coverage_{band}")
+                rows.append(_check(key, got, want, reference.SD_COVERAGE_TOLERANCE, (2, 2)))
+    return _checked(rows)
+
+
+@dataclass(frozen=True)
+class Command:
+    name: str  # "stats corr" is the subcommand corr of stats
+    rows: Callable[[argparse.Namespace], Outputs]
+    source: str = "--fixture"  # or "--input", which is then required
+    digits: int = 3  # default --digits
+    extra: tuple[str, ...] = ()  # flags of ARGUMENTS
+    fmt: Optional[str] = None  # the format written whatever --format says
+
+
+ARGUMENTS = {
+    "--input": {"help": "journal-level CSV (overrides --fixture)"},
+    "--edition": {"choices": ("science", "social", "all"), "default": "all"},
+    "--scorer": {"choices": ranking.SCORERS, "default": "if"},
+    "--alpha": {"type": float, "default": 0.05},
+    "--lilliefors": {"action": "store_true"},
+    "--k": {"type": int},
+    "--height": {"type": float},
+}
+
+COMMANDS = (
+    Command("validate", _validate_rows, "--input"),
+    Command("indicators", _indicator_rows, "--input"),
+    Command("decompose", _decompose_rows, extra=("--input", "--edition")),
+    Command("cnif", _cnif_rows, "--input"),
+    Command("rank", _rank_rows, "--input", extra=("--scorer",)),
+    Command("gap", _gap_rows, "--input"),
+    Command("stats corr", _corr_rows, extra=("--edition",)),
+    Command("stats pca", _pca_rows, extra=("--edition",), fmt="json"),
+    Command("stats ks", _ks_rows, extra=("--edition", "--alpha", "--lilliefors")),
+    Command("stats hist", _hist_rows, extra=("--edition",)),
+    Command("stats cluster", _cluster_rows, extra=("--edition", "--k", "--height")),
+    Command("reproduce-table1", _table1_rows, digits=2),
+    Command("reproduce-table3", _table3_rows, digits=2),
+    Command("reproduce-table4", _table4_rows, digits=2),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cnifkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, input_required=False, fixture=False, digits_default=3):
-        if input_required:
+    groups = {"": sub}
+    for command in COMMANDS:
+        group, _, leaf = command.name.rpartition(" ")
+        if group not in groups:
+            parent = sub.add_parser(group)
+            groups[group] = parent.add_subparsers(dest=f"{group}_command", required=True)
+        p = groups[group].add_parser(leaf)
+        if command.source == "--input":
             p.add_argument("--input", required=True, help="journal-level CSV")
-        elif fixture:
+        else:
             p.add_argument("--fixture", help="category fixture CSV (default: bundled table)")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--digits", type=_digits, default=digits_default)
-        return p
-
-    common(sub.add_parser("validate"), input_required=True).set_defaults(func=cmd_validate)
-    common(sub.add_parser("indicators"), input_required=True).set_defaults(func=cmd_indicators)
-
-    p = common(sub.add_parser("decompose"), fixture=True)
-    p.add_argument("--input", help="journal-level CSV (overrides --fixture)")
-    p.add_argument("--edition", choices=("science", "social", "all"), default="all")
-    p.set_defaults(func=cmd_decompose)
-
-    common(sub.add_parser("cnif"), input_required=True).set_defaults(func=cmd_cnif)
-
-    p = common(sub.add_parser("rank"), input_required=True)
-    p.add_argument("--scorer", choices=ranking.SCORERS, default="if")
-    p.set_defaults(func=cmd_rank)
-
-    common(sub.add_parser("gap"), input_required=True).set_defaults(func=cmd_gap)
-
-    p_stats = sub.add_parser("stats")
-    stats_sub = p_stats.add_subparsers(dest="stats_command", required=True)
-
-    def stats_common(p):
-        common(p, fixture=True)
-        p.add_argument("--edition", choices=("science", "social", "all"), default="all")
-        return p
-
-    stats_common(stats_sub.add_parser("corr")).set_defaults(func=cmd_stats_corr)
-    stats_common(stats_sub.add_parser("pca")).set_defaults(func=cmd_stats_pca)
-    p = stats_common(stats_sub.add_parser("ks"))
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--lilliefors", action="store_true")
-    p.set_defaults(func=cmd_stats_ks)
-    stats_common(stats_sub.add_parser("hist")).set_defaults(func=cmd_stats_hist)
-    p = stats_common(stats_sub.add_parser("cluster"))
-    p.add_argument("--k", type=int)
-    p.add_argument("--height", type=float)
-    p.set_defaults(func=cmd_stats_cluster)
-
-    for name, fn in (
-        ("reproduce-table1", cmd_reproduce_table1),
-        ("reproduce-table3", cmd_reproduce_table3),
-        ("reproduce-table4", cmd_reproduce_table4),
-    ):
-        common(sub.add_parser(name), fixture=True, digits_default=2).set_defaults(func=fn)
-
+        p.add_argument("--digits", type=_digits, default=command.digits)
+        for flag in command.extra:
+            p.add_argument(flag, **ARGUMENTS[flag])
+        p.set_defaults(run=command)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    written = []
     try:
-        return args.func(args)
+        code, outputs = args.run.rows(args)
+        fmt = args.run.fmt or args.format
+        for suffix, rows in outputs.items():
+            if args.out is None:
+                ingest.emit_report(rows, fmt, sys.stdout)
+                continue
+            with open(args.out + suffix, "w", encoding="utf-8") as f:
+                written.append(f.name)
+                ingest.emit_report(rows, fmt, f)
+        return code
     except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
-        return USAGE_ERROR
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (UndefinedIndicatorError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+        message, code = f"file not found: {exc.filename}", USAGE_ERROR
+    except OSError as exc:  # a write to a closed stdout pipe names no file
+        message = exc.strerror if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+        code = USAGE_ERROR
+    except ingest.ParseError as exc:
+        message, code = str(exc), USAGE_ERROR
+    except ValueError as exc:  # UndefinedIndicatorError among them
+        message, code = str(exc), DATA_ERROR
+    for path in written:  # a failed command leaves no output behind
+        os.remove(path)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

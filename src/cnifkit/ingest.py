@@ -4,8 +4,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields as dc_fields
-from typing import IO, Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import IO, Callable, Iterator, Optional, Sequence, TypeVar
 
 from .core_model import (
     CategoryInfo,
@@ -42,6 +42,8 @@ FIXTURE_HEADER = [
     "b",
     "aif",
 ]
+
+T = TypeVar("T")
 
 _EDITIONS = {
     "science": Edition.SCIENCE,
@@ -182,6 +184,28 @@ def parse_journals_csv(stream: IO[str], year: int = 0, strict: bool = True) -> D
     return Dataset(year=year, journals=tuple(journals), registry=registry)
 
 
+def read_csv(path: str, parse: Callable[..., T], **kwargs) -> T:
+    """Parse the CSV file at ``path`` with ``parse(stream, **kwargs)``.
+
+    The file is read as UTF-8; utf-8-sig drops the byte-order mark that Excel
+    writes before the header.  A byte that is not UTF-8 is a ParseError at
+    the physical line that holds it.
+    """
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as f:
+            return parse(f, **kwargs)
+    except UnicodeDecodeError:
+        with open(path, "rb") as f:  # the decoder's offset is within its chunk
+            data = f.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+            raise ParseError(line, message) from None
+        raise
+
+
 def _parse_printed(value: str, column: str, line: int) -> Optional[float]:
     if value == "-":
         return None
@@ -253,41 +277,32 @@ def emit_journals_csv(dataset: Dataset, stream: IO[str]) -> None:
         writer.writerow(_journal_row(j))
 
 
-def _as_record(item) -> dict:
-    if isinstance(item, dict):
-        return dict(item)
-    out = {}
-    for f in dc_fields(item):
-        v = getattr(item, f.name)
-        if isinstance(v, Edition):
-            v = v.value
-        out[f.name] = v
-    return out
+def emit_report(rows: Sequence[dict], fmt: str, stream: IO[str]) -> None:
+    """Write report rows as CSV or JSON, one row at a time.
 
-
-def emit_report(rows: Iterable, fmt: str, stream: IO[str]) -> None:
-    """Write report rows (dicts or dataclasses) as CSV or JSON.
-
-    Column/key order is the field order of the first row and identical for
-    every row, so output is deterministic for a given input.
+    CSV columns are the keys of the first row, in order; a row without one of
+    them, or with ``None`` in it, gets an empty cell, and no rows write
+    nothing.  JSON is exactly ``json.dump(rows, stream, indent=2)`` and a
+    newline.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format: {fmt!r}")
-    records = [_as_record(r) for r in rows]
     if fmt == "json":
-        json.dump(records, stream, indent=2)
-        stream.write("\n")
-        return
-    writer = csv.writer(stream, lineterminator="\n")
-    if not records:
-        return
-    keys = list(records[0])
-    writer.writerow(keys)
-    for rec in records:
-        writer.writerow(["" if rec.get(k) is None else rec.get(k) for k in keys])
+        sep = "[\n  "
+        for row in rows:
+            # json.dumps escapes newlines inside strings, so each one here starts a line
+            stream.write(sep + json.dumps(row, indent=2).replace("\n", "\n  "))
+            sep = ",\n  "
+        stream.write("\n]\n" if rows else "[]\n")
+    elif fmt == "csv":
+        if rows:
+            keys = list(rows[0])
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(keys)
+            writer.writerows([row.get(k) for k in keys] for row in rows)
+    else:
+        raise ValueError(f"unknown format: {fmt!r}")
 
 
-def dumps_report(rows: Iterable, fmt: str) -> str:
+def dumps_report(rows: Sequence[dict], fmt: str) -> str:
     buf = io.StringIO()
     emit_report(rows, fmt, buf)
     return buf.getvalue()

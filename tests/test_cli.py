@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -109,6 +110,59 @@ class TestExitCodes:
         assert main(command + ["--fixture", str(fixture), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: line 3: duplicate category code: S1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (["--k", "0"], "k must lie in [1, 55], got 0"),
+            (["--k", "2", "--height", "1"], "give exactly one of k or height"),
+        ],
+        ids=["k-out-of-range", "k-and-height"],
+    )
+    def test_failed_cluster_cut_writes_no_file(self, cut, message, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert main(["stats", "cluster", "--edition", "social", *cut, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_input_is_usage_error(self, tmp_path, capsys):
+        assert main(["validate", "--input", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+    def test_directory_out_is_usage_error(self, sample_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["cnif", "--input", sample_csv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out}: Is a directory\n"
+        assert list(out.iterdir()) == []
+
+    def test_unwritable_side_file_removes_main_output(self, sample_csv, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        (tmp_path / "g.csv.summary").mkdir()
+        assert main(["gap", "--input", sample_csv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out}.summary: Is a directory\n"
+        assert not out.exists()
+
+    def test_closed_stdout_pipe_is_reported_without_traceback(self, sample_csv, monkeypatch, capsys):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["cnif", "--input", sample_csv]) == 2
+        assert capsys.readouterr().err == "error: Broken pipe\n"
+
+    @pytest.mark.parametrize("line", [2, 500])
+    def test_non_utf8_byte_is_usage_error_at_its_line(self, line, tmp_path, capsys):
+        rows = [f"j{i},Journal {i},A,1,2,3,4,,," for i in range(1, 600)]
+        rows[line - 2] = rows[line - 2].replace("Journal", "Caf\xe9")
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((HEADER + "\n" + "\n".join(rows) + "\n").encode("latin-1"))
+        assert path.stat().st_size > 8192  # more than one decode chunk
+        for command in (["validate"], ["cnif"]):
+            assert main(command + ["--input", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: line {line}: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
 
     def test_clean_validation_exits_zero(self, sample_csv, capsys):
         assert main(["validate", "--input", sample_csv]) == 0

@@ -1,0 +1,284 @@
+"""Golden SHA-256 digests of every output file of every CLI command.
+
+The digests were recorded from the CLI before its commands became one table
+with one streaming writer, so a changed output byte fails here.  Each case
+runs twice: once with ``--out``, checking the exit code and the digest of the
+output and of its side file, and once to stdout, which must carry the same
+bytes in the same order.
+"""
+import hashlib
+import random
+
+import pytest
+
+from cnifkit.cli import main
+
+HEADER = "id,name,categories,items_t,items_t1,items_t2,cited_in_window,refs_total,refs_jcr,refs_jcr_in_window"
+
+
+def journal_csv(seed: int, n: int, violations: bool = False) -> str:
+    """A seeded journal CSV; with ``violations`` every fifth record breaks a
+    cross-field rule of ``validate``."""
+    rnd = random.Random(seed)
+    lines = [HEADER]
+    for i in range(n):
+        cats = ";".join(rnd.sample("ABCDEF", rnd.choice((1, 1, 2, 3))))
+        counts = [rnd.randint(0, 50), rnd.randint(1, 60), rnd.randint(1, 60), rnd.randint(1, 300)]
+        if rnd.random() < 0.1:
+            refs = ["", "", ""]
+        else:
+            total = rnd.randint(50, 2000)
+            jcr = rnd.randint(0, total)
+            refs = [total, jcr, rnd.randint(0, jcr)]
+            if violations and i % 5 == 0:
+                refs = [total, total + 1, 0] if i % 10 == 0 else [total, jcr, jcr + 1]
+        lines.append(",".join(map(str, [f"j{i:03d}", f"Journal {i}", cats, *counts, *refs])))
+    return "\n".join(lines) + "\n"
+
+
+def _input_cases():
+    for fmt in ("csv", "json"):
+        yield f"validate-violations-{fmt}", ["validate", "--input", "{bad}", "--format", fmt], 1
+        yield f"validate-clean-{fmt}", ["validate", "--input", "{good}", "--format", fmt], 0
+        for command in (["indicators"], ["cnif"], ["rank", "--scorer", "if"],
+                        ["rank", "--scorer", "cnif"], ["gap"], ["decompose"]):
+            name = "-".join(command[::2])
+            yield f"{name}-{fmt}", command + ["--input", "{good}", "--format", fmt], 0
+    for digits in ("0", "5"):
+        for command in (["indicators"], ["cnif"], ["rank", "--scorer", "cnif"], ["gap"], ["decompose"]):
+            name = "-".join(command[::2])
+            yield f"{name}-digits{digits}", command + ["--input", "{good}", "--digits", digits], 0
+
+
+def _fixture_cases():
+    for edition in ("science", "social", "all"):
+        yield f"decompose-{edition}", ["decompose", "--edition", edition], 0
+    yield "decompose-json", ["decompose", "--format", "json"], 0
+    yield "decompose-digits0", ["decompose", "--edition", "social", "--digits", "0"], 0
+    yield "decompose-digits5", ["decompose", "--edition", "science", "--digits", "5"], 0
+    for fmt in ("csv", "json"):
+        for command in ("corr", "pca", "ks", "hist"):
+            yield f"stats-{command}-{fmt}", ["stats", command, "--edition", "science", "--format", fmt], 0
+        yield f"stats-cluster-{fmt}", ["stats", "cluster", "--edition", "social", "--format", fmt], 0
+        yield f"stats-cluster-k-{fmt}", ["stats", "cluster", "--edition", "social", "--k", "4", "--format", fmt], 0
+        for table, code in (("1", 0), ("3", 0), ("4", 1)):
+            yield f"reproduce-table{table}-{fmt}", [f"reproduce-table{table}", "--format", fmt], code
+    yield "stats-corr-digits0", ["stats", "corr", "--edition", "social", "--digits", "0"], 0
+    yield "stats-corr-json-digits5", ["stats", "corr", "--format", "json", "--digits", "5"], 0
+    yield "stats-ks-lilliefors", ["stats", "ks", "--edition", "social", "--lilliefors"], 0
+    yield "stats-ks-alpha", ["stats", "ks", "--alpha", "0.01", "--digits", "5"], 0
+    yield "stats-hist-digits0", ["stats", "hist", "--edition", "social", "--digits", "0"], 0
+    yield "stats-cluster-height", ["stats", "cluster", "--edition", "science", "--height", "40"], 0
+    yield "reproduce-table1-digits5", ["reproduce-table1", "--digits", "5"], 0
+
+
+CASES = {name: (argv, code) for name, argv, code in (*_input_cases(), *_fixture_cases())}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden-inputs")
+    paths = {}
+    for key, violations in (("good", False), ("bad", True)):
+        paths[key] = root / f"{key}.csv"
+        paths[key].write_text(journal_csv(11, 40, violations), encoding="utf-8")
+    return {k: str(p) for k, p in paths.items()}
+
+
+def run_case(name, inputs, out_dir, capsys):
+    """Run one case to files and to stdout; return its exit code, the
+    {--out suffix: bytes} it wrote and the bytes it printed."""
+    argv, _ = CASES[name]
+    argv = [a.format(**inputs) for a in argv]
+    out = out_dir / "out"
+    code = main(argv + ["--out", str(out)])
+    capsys.readouterr()
+    files = {p.name[len("out"):]: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    assert main(argv) == code
+    printed = capsys.readouterr().out.encode("utf-8")
+    return code, files, printed
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+EXPECTED = {
+    "cnif-csv": {
+        "": "f12c70e301659383c7cb7c4036f78dfcc603c6e0c78d2b8ca7e82b2363426dff",
+    },
+    "cnif-digits0": {
+        "": "93040aa653116b2e3fdd3436a70ea024d5854716edd16ea2fc290bfeb67a2f71",
+    },
+    "cnif-digits5": {
+        "": "987ca7f4935b3134718b050bfbef13a4029a5c7a1435451dbc1e0a6528fb3641",
+    },
+    "cnif-json": {
+        "": "78b5b44e68fd90dd13bdae1d06e4888a140c1b5be20ecbbf11e2d1da038ee65e",
+    },
+    "decompose-all": {
+        "": "0ea4830cb60dc462e0b1ebd50927298a353ed536644bb03962cf0a537a47e2c6",
+    },
+    "decompose-csv": {
+        "": "2988c67dcfb167349d2e3af987b123689c903ae59c75ae1741bd0d47e3c5cb37",
+    },
+    "decompose-digits0": {
+        "": "ff2cfbd6b8808f653918951c052dc8eb87ba839a7fc202491ca9b205cc28f20a",
+    },
+    "decompose-digits5": {
+        "": "2eaded5e122ecb309e963c0f6d9e72bc4f890e405490175c7245c3c8fad6996b",
+    },
+    "decompose-json": {
+        "": "a5e58aaf8fde88f9f1255aba9a5450f01f55c301fabd44c6718d2cdf8965f276",
+    },
+    "decompose-science": {
+        "": "7e56e5641efdc77a7bbd62a1c3abca4fa1271666f3fb28ee920e6847a0ff6dd5",
+    },
+    "decompose-social": {
+        "": "aa52424873f8a0faeb7e9377ee83005033b10a9830c1afc05b1b2772c7806c25",
+    },
+    "gap-csv": {
+        "": "2fbfd823e21a138b73cfbfbf6d88ef14ffbe00a1841165964ad71f6e478d460f",
+        ".summary": "8de95d2d2d805731b2f0f2136c34a82d3c9d1deb24daeddd4cc4b81009ad62aa",
+    },
+    "gap-digits0": {
+        "": "1497b144c85cbe56f021cbc8f05d9ffbde09e77526a7be2a0b8c897cc69cf353",
+        ".summary": "4a6b77ee50c919b26011a20feeb1a0ca2bb4da7c62b251c8d4052ef68595e558",
+    },
+    "gap-digits5": {
+        "": "f94eff24f7c1b42f9f29a48a404c68f86179b97edbe581e7de2f66e2ffc23f65",
+        ".summary": "80b6f75b28276527eabe4d37dd2b1972be452284151fa7c618c6f7e4a7f5b5b9",
+    },
+    "gap-json": {
+        "": "b9018f74907bab4b4184704558e935631a4a8cd56c8ee06e9c4a9ea07e7e9735",
+        ".summary": "587ad03e5e0ed45ff9f65fecd2e0e31295eb7a1543bdfcb124357e4b18684957",
+    },
+    "indicators-csv": {
+        "": "378987b962320deb7c0421463466dce58ac92973669450ab54ea87e0308851d3",
+    },
+    "indicators-digits0": {
+        "": "1afd4781fcd1224112aaf8047c1401c90963f1cb53d7dc90c093aab79286f7b6",
+    },
+    "indicators-digits5": {
+        "": "8adc7524d02362612b0f329b1adf4437ba67f974ee78ff56ab65a1c6f6d1e6e7",
+    },
+    "indicators-json": {
+        "": "4dbebae1dfb9d51fa2c0a82035cc13bbb1f3eb63271d9fe6c0698590c6c6aeb3",
+    },
+    "rank-cnif-csv": {
+        "": "a2d33783fa5f9b6462c16e78247c8ae1db91c3a1d9038be1bb6ffd8f8ce48c20",
+    },
+    "rank-cnif-digits0": {
+        "": "2672436b32dced9557c645794cd5a47b6ebb1b2d4fc1f5bd758b6eeb8d365fa8",
+    },
+    "rank-cnif-digits5": {
+        "": "43b42140a9b6d69bb88b3724435c762f03e118cdb4bef162c52fcf510d17ced0",
+    },
+    "rank-cnif-json": {
+        "": "1818c9c737f2dc9f21dbe5f219733e8c432d5ec1c2b94a4db4b06d7c8c55de1f",
+    },
+    "rank-if-csv": {
+        "": "a57ec69f4205e6813076e2cc4153129e84d21b7ab53b27e53d0e6fe778e6d162",
+    },
+    "rank-if-json": {
+        "": "702a9cb3142c23b3af617a411687ecc34bb054d187fba2ae88811d3615d7eeab",
+    },
+    "reproduce-table1-csv": {
+        "": "fb5c2ccc20c50e1af74b5f5eb58a46c8a39ec497cf8069ad120e092d7ef98555",
+    },
+    "reproduce-table1-digits5": {
+        "": "fb5c2ccc20c50e1af74b5f5eb58a46c8a39ec497cf8069ad120e092d7ef98555",
+    },
+    "reproduce-table1-json": {
+        "": "2ac239b7d513d82b8d975d5f00142f2d09243d901ad323a96c31d391879018f0",
+    },
+    "reproduce-table3-csv": {
+        "": "6890c48ded66acc073e8404bafbb403230876e5fb21a2efab7189ee4f01ff3e7",
+    },
+    "reproduce-table3-json": {
+        "": "cbc501a849007fd0bfe71671b7c089099e09948831fba0c01235872fb517dc38",
+    },
+    "reproduce-table4-csv": {
+        "": "925c3a390bd25df20fe60e8e3f7bdf8cce7c2e54cec765eed8d1670f0899436a",
+    },
+    "reproduce-table4-json": {
+        "": "ad3e0847066bc3417508d3837e7ba6818ca376519bf3c6f005748bbe4bd95a36",
+    },
+    "stats-cluster-csv": {
+        "": "520eab34637f72570fb10e31d6cf4bf4b51c29419bff9a9414075a1acea4297d",
+    },
+    "stats-cluster-height": {
+        "": "f47596970320f4376ebe510f0f67807867f9a78daff7d1d21174fca2b9948d09",
+        ".clusters": "18c8a52a5db4334cab391e8279cab4f3f02a1ee1bc6cb739d43856652f9c2dd3",
+    },
+    "stats-cluster-json": {
+        "": "9b65439c65deb3f42c2e6534168c0d106b79f4198382370d1471e4a5faf4c008",
+    },
+    "stats-cluster-k-csv": {
+        "": "520eab34637f72570fb10e31d6cf4bf4b51c29419bff9a9414075a1acea4297d",
+        ".clusters": "da716a92b257e77a1fc67b6ccd0d8858fc15162e6338135ebe68bf36241cff8c",
+    },
+    "stats-cluster-k-json": {
+        "": "9b65439c65deb3f42c2e6534168c0d106b79f4198382370d1471e4a5faf4c008",
+        ".clusters": "373589d7f5642b1266aecb6ca07de89ab30f835f709916e05aa14808d173cfbb",
+    },
+    "stats-corr-csv": {
+        "": "5af893ec8148164d8d1051b624641484f176e2067a7dd46ab556493ac3952a92",
+    },
+    "stats-corr-digits0": {
+        "": "39d2732e0a2e91de21ce0a859f1acbc6f67c7fd9b628feda250946481e72af65",
+    },
+    "stats-corr-json": {
+        "": "f9ed0f24caa6dcd8e692041691f506d301712d922e6e4367fcb325c5774237b6",
+    },
+    "stats-corr-json-digits5": {
+        "": "15690627d4c9c246fb555ef6b63ab1faf5d2957e518366fab78ebea1b10cf31f",
+    },
+    "stats-hist-csv": {
+        "": "ccbe88c64dc3a04833ea54c950bf4f1cee3b40a0d6b173d860accef4dfbc7518",
+    },
+    "stats-hist-digits0": {
+        "": "cfcf88d6ce3f4d671fe93678b1527eb5064a0e87ab1d033156f1eb0c34ff71ed",
+    },
+    "stats-hist-json": {
+        "": "37633ed5cf0d4538efce91692d7570f267752d86461862b1397247061b08e324",
+    },
+    "stats-ks-alpha": {
+        "": "91155096c5f4e370c7d9ff90862b5b4128acee90b2429a7e45c96523205544f5",
+    },
+    "stats-ks-csv": {
+        "": "7120a6fc9d6f1164751c0a658cce6d1d5b26d35a33ae48bf9df78c3a995a15e2",
+    },
+    "stats-ks-json": {
+        "": "023a37fc257e5d26929989475b6ae542306a94e3f45b05d7e78054f9efdd3500",
+    },
+    "stats-ks-lilliefors": {
+        "": "2e3bc3efabbe103965086a4c5027881b660cf6eb9dfb9a908c45973b35771713",
+    },
+    "stats-pca-csv": {
+        "": "c3303de7a7b9555234ce4e4d7835dc7ddc5ae1f64106c58ffe2827d1e1fa8959",
+    },
+    "stats-pca-json": {
+        "": "c3303de7a7b9555234ce4e4d7835dc7ddc5ae1f64106c58ffe2827d1e1fa8959",
+    },
+    "validate-clean-csv": {
+        "": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "validate-clean-json": {
+        "": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    },
+    "validate-violations-csv": {
+        "": "6171fb01549e330291f30d108ce095a054a4fe7655414c46860b26567940356d",
+    },
+    "validate-violations-json": {
+        "": "e97105da17a473b915530f3d17b725acc1b568527ffceef3d642f0acbba35d5a",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_digests(name, inputs, tmp_path, capsys):
+    code, files, printed = run_case(name, inputs, tmp_path, capsys)
+    assert code == CASES[name][1]
+    assert {suffix: sha256(data) for suffix, data in files.items()} == EXPECTED[name]
+    assert printed == b"".join(files.values())

@@ -244,5 +244,7 @@ ZERO_AIF = "journal {}: zero meta-category AIF, normalization undefined"
 def test_undefined_cnif_aborts_with_first_error(extra_rows, messages, tmp_path, capsys):
     path = write_csv(tmp_path, BASE_ROWS + extra_rows)
     for command, message in zip(CNIF_COMMANDS, messages):
-        assert main(command + ["--input", path, "--out", str(tmp_path / "out.csv")]) == 1
+        out = tmp_path / "out.csv"
+        assert main(command + ["--input", path, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from cnifkit.reference import bundled_fixture_path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -26,3 +28,14 @@ class TestRunReproduction:
         fixture.write_text(text.replace(s1, s1.replace(",0.79,", ",0.81,")), encoding="utf-8")
         assert load_script("run_reproduction").run(tmp_path / "out", str(fixture)) == 1
         assert "reproduce-table1: MISMATCH" in capsys.readouterr().out
+
+
+class TestRunCategoryAnalysis:
+    @pytest.mark.parametrize("edition", ["science", "social"])
+    def test_writes_its_five_reports(self, edition, tmp_path, capsys):
+        assert load_script("run_category_analysis").run(edition, 6, tmp_path) == 0
+        capsys.readouterr()
+        reports = ["correlations.csv", "eigen.json", "normality.json", "histograms.json", "merges.csv"]
+        for name in reports:
+            assert (tmp_path / name).stat().st_size > 0, name
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(reports + ["merges.csv.clusters"])
