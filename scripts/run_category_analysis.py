@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Full statistical pass over one edition of the bundled category table.
+"""Full statistical pass over one edition (or all) of the bundled category table.
 
 Emits correlation matrix, eigen report, normality tests, sd-band histograms,
 and the Ward merge list (with a k-cluster cut) into an output directory.
@@ -32,7 +32,7 @@ def run(edition: str, k: int, out_dir: pathlib.Path) -> int:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--edition", choices=("science", "social"), default="science")
+    parser.add_argument("--edition", choices=("science", "social", "all"), default="science")
     parser.add_argument("--k", type=int, default=6, help="cluster count for the dendrogram cut")
     parser.add_argument("--out-dir", default="analysis-out")
     args = parser.parse_args()

@@ -6,6 +6,7 @@ and every output's rows; ``main`` writes them only after all are computed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -55,6 +56,23 @@ def _digits(value: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {n}")
     return n
+
+
+def _number(value: str) -> float:
+    try:
+        x = float(value)
+    except ValueError:
+        x = math.nan
+    if math.isnan(x):
+        raise argparse.ArgumentTypeError(f"not a number: {value!r}")
+    return x
+
+
+def _alpha(value: str) -> float:
+    x = _number(value)
+    if not 0 < x < 1:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {value}")
+    return x
 
 
 def _fmt(x: Optional[float], digits: int) -> str:
@@ -311,17 +329,17 @@ class Command:
     source: str = "--fixture"  # or "--input", which is then required
     digits: int = 3  # default --digits
     extra: tuple[str, ...] = ()  # flags of ARGUMENTS
-    fmt: Optional[str] = None  # the format written whatever --format says
+    fmt: Optional[str] = None  # the only --format the command writes
 
 
 ARGUMENTS = {
     "--input": {"help": "journal-level CSV (overrides --fixture)"},
     "--edition": {"choices": ("science", "social", "all"), "default": "all"},
     "--scorer": {"choices": ranking.SCORERS, "default": "if"},
-    "--alpha": {"type": float, "default": 0.05},
+    "--alpha": {"type": _alpha, "default": 0.05},
     "--lilliefors": {"action": "store_true"},
     "--k": {"type": int},
-    "--height": {"type": float},
+    "--height": {"type": _number},
 }
 
 COMMANDS = (
@@ -357,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--fixture", help="category fixture CSV (default: bundled table)")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        formats = (command.fmt,) if command.fmt else ("csv", "json")
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--digits", type=_digits, default=command.digits)
         for flag in command.extra:
             p.add_argument(flag, **ARGUMENTS[flag])
@@ -373,14 +392,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     written = []
     try:
         code, outputs = args.run.rows(args)
-        fmt = args.run.fmt or args.format
         for suffix, rows in outputs.items():
             if args.out is None:
-                ingest.emit_report(rows, fmt, sys.stdout)
+                ingest.emit_report(rows, args.format, sys.stdout)
                 continue
             with open(args.out + suffix, "w", encoding="utf-8") as f:
                 written.append(f.name)
-                ingest.emit_report(rows, fmt, f)
+                ingest.emit_report(rows, args.format, f)
         return code
     except FileNotFoundError as exc:
         message, code = f"file not found: {exc.filename}", USAGE_ERROR

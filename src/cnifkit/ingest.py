@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator, Optional, Sequence, TypeVar
 
@@ -210,9 +211,12 @@ def _parse_printed(value: str, column: str, line: int) -> Optional[float]:
     if value == "-":
         return None
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
-        raise ParseError(line, f"bad value in {column}: {value!r}") from None
+        x = math.nan
+    if not math.isfinite(x):  # nan, inf and overflowing forms such as 1e999 too
+        raise ParseError(line, f"bad value in {column}: {value!r}")
+    return x
 
 
 def parse_category_fixture_csv(stream: IO[str]) -> list[CategoryFixtureRow]:

@@ -188,13 +188,16 @@ def ward_cluster(
     distances and are non-decreasing.  Ties are broken by the
     lexicographically smallest pair of cluster tags (a cluster's tag is the
     smallest leaf label it contains), which makes the result independent of
-    input order.
+    input order.  Each row's minimum is cached, so a merge searches O(n)
+    values and rescans only the rows whose minimum it removed.
     """
     if len(labels) != len(vectors):
         raise ValueError("labels and vectors must align")
     if len(labels) < 2:
         raise ValueError("need at least 2 complete vectors")
     x = np.array(vectors, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("vectors must be finite")
     if standardize:
         x = _standardize(x)
     n = len(labels)
@@ -208,19 +211,26 @@ def ward_cluster(
     ids = list(range(n))  # row -> cluster id; row i keeps a merge of rows i < j
     tags = list(leaf_labels)
     sizes = np.ones(n, dtype=np.int64)  # never 0, so no 0 * inf (nan) in a dead row
+    best = d.min(axis=1)  # each row's minimum, exact after every merge; inf once dead
     merges = []
     for new in range(n, 2 * n - 1):
-        h = d.min()
-        # exact ties only; the tag order makes the choice permutation invariant
-        # (then the older pairs first, as in a scan in order of cluster id)
+        h = best.min()
+        # exact ties only, all in the rows whose minimum is h; the tag order makes
+        # the choice permutation invariant (then the older pairs first, as in a
+        # scan in order of cluster id)
         i, j = min(
-            np.argwhere(np.triu(d == h, 1)).tolist(),
+            ((r, c) for r in (best == h).nonzero()[0].tolist()
+             for c in (d[r] == h).nonzero()[0].tolist() if r < c),
             key=lambda p: (sorted(tags[r] for r in p), sorted(ids[r] for r in p)),
         )
+        # live rows whose minimum sits in column i or j, i and j among them
+        stale = ((best < np.inf) & ((d[i] == best) | (d[j] == best))).nonzero()[0]
         ni, nj = sizes[i], sizes[j]
         row = ((ni + sizes) * d[i] + (nj + sizes) * d[j] - sizes * h) / (ni + nj + sizes)
         d[i, :] = d[:, i] = row
         d[j, :] = d[:, j] = d[i, i] = np.inf
+        np.minimum(best, d[i], out=best)  # exact for every row not stale
+        best[stale] = d[stale].min(axis=1)  # row j is all inf now
         merges.append(Merge(min(ids[i], ids[j]), max(ids[i], ids[j]), h, new, int(ni + nj)))
         ids[i], tags[i], sizes[i] = new, min(tags[i], tags[j]), ni + nj
     return Dendrogram(leaf_labels, tuple(merges))

@@ -111,6 +111,42 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: line 3: duplicate category code: S1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN"])
+    @pytest.mark.parametrize(
+        "command", [["stats", "cluster"], ["stats", "corr"], ["stats", "hist"], ["reproduce-table1"]]
+    )
+    def test_non_finite_fixture_value_is_usage_error(self, command, value, tmp_path, capsys):
+        text = Path(bundled_fixture_path()).read_text(encoding="utf-8")
+        s5 = "\nS5,\"AGR, MULTIDISCIPL\",science,140735,193124,15625,23783,0.63,"
+        assert text.splitlines()[5].startswith(s5[1:])
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_text(text.replace(s5, s5[:-5] + value + ","), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(command + ["--fixture", str(fixture), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: line 6: bad value in a: {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "1", "1.5", "inf", "nan", "x"])
+    def test_alpha_outside_unit_interval_is_usage_error(self, alpha, tmp_path, capsys):
+        out = tmp_path / "k.csv"
+        assert main(["stats", "ks", "--alpha", alpha, "--out", str(out)]) == 2
+        rule = f"not a number: {alpha!r}" if alpha in ("nan", "x") else "must lie strictly between 0 and 1"
+        assert f"error: argument --alpha: {rule}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("height", ["nan", "NaN", "x"])
+    def test_nan_height_is_usage_error(self, height, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert main(["stats", "cluster", "--height", height, "--out", str(out)]) == 2
+        assert f"error: argument --height: not a number: {height!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infinite_height_merges_everything(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert main(["stats", "cluster", "--edition", "social", "--height", "inf", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(Path(f"{out}.clusters").read_text(encoding="utf-8").splitlines()))
+        assert len(rows) == 55 and {r["cluster"] for r in rows} == {"0"}
+
     @pytest.mark.parametrize(
         "cut, message",
         [

@@ -57,12 +57,16 @@ def _fixture_cases():
     yield "decompose-digits0", ["decompose", "--edition", "social", "--digits", "0"], 0
     yield "decompose-digits5", ["decompose", "--edition", "science", "--digits", "5"], 0
     for fmt in ("csv", "json"):
-        for command in ("corr", "pca", "ks", "hist"):
+        for command in ("corr", "ks", "hist"):
             yield f"stats-{command}-{fmt}", ["stats", command, "--edition", "science", "--format", fmt], 0
         yield f"stats-cluster-{fmt}", ["stats", "cluster", "--edition", "social", "--format", fmt], 0
         yield f"stats-cluster-k-{fmt}", ["stats", "cluster", "--edition", "social", "--k", "4", "--format", fmt], 0
+        for edition in ("all", "science"):  # the largest Ward runs: 227 and 172 leaves
+            argv = ["stats", "cluster", "--edition", edition, "--k", "6", "--format", fmt]
+            yield f"stats-cluster-{edition}-k6-{fmt}", argv, 0
         for table, code in (("1", 0), ("3", 0), ("4", 1)):
             yield f"reproduce-table{table}-{fmt}", [f"reproduce-table{table}", "--format", fmt], code
+    yield "stats-pca-json", ["stats", "pca", "--edition", "science", "--format", "json"], 0
     yield "stats-corr-digits0", ["stats", "corr", "--edition", "social", "--digits", "0"], 0
     yield "stats-corr-json-digits5", ["stats", "corr", "--format", "json", "--digits", "5"], 0
     yield "stats-ks-lilliefors", ["stats", "ks", "--edition", "social", "--lilliefors"], 0
@@ -204,6 +208,14 @@ EXPECTED = {
     "reproduce-table4-json": {
         "": "ad3e0847066bc3417508d3837e7ba6818ca376519bf3c6f005748bbe4bd95a36",
     },
+    "stats-cluster-all-k6-csv": {
+        "": "28a80472ffbd09e6742d781ff88d5f89a85a9ad8dbbdbd3fefe3356ee21769b1",
+        ".clusters": "5fd50279459860bb99cdcd2746a7fe81e7b0eff3657025c4f68c5bfd33e74d9e",
+    },
+    "stats-cluster-all-k6-json": {
+        "": "e50d5f19a808f054f2b998fd1ea03947360ad4d33b74a4dc78e27dff74814934",
+        ".clusters": "2a1cc738fd731f3a377b13c848595b303b8434d1940ca6b9654b5b1aaa6d40b5",
+    },
     "stats-cluster-csv": {
         "": "520eab34637f72570fb10e31d6cf4bf4b51c29419bff9a9414075a1acea4297d",
     },
@@ -221,6 +233,14 @@ EXPECTED = {
     "stats-cluster-k-json": {
         "": "9b65439c65deb3f42c2e6534168c0d106b79f4198382370d1471e4a5faf4c008",
         ".clusters": "373589d7f5642b1266aecb6ca07de89ab30f835f709916e05aa14808d173cfbb",
+    },
+    "stats-cluster-science-k6-csv": {
+        "": "f47596970320f4376ebe510f0f67807867f9a78daff7d1d21174fca2b9948d09",
+        ".clusters": "b104947e89b3006052d1b41c20692cf9fcaaf6a23c224cbac031e4d42bf68c69",
+    },
+    "stats-cluster-science-k6-json": {
+        "": "e0ef05a200296b4c00e9a2fd607dac69aad625bccee75580a6112d594fdd5abd",
+        ".clusters": "5f32b59e9d793a7bfd01d6639256e39096d9c350c33c09286da2d4c02c4ae842",
     },
     "stats-corr-csv": {
         "": "5af893ec8148164d8d1051b624641484f176e2067a7dd46ab556493ac3952a92",
@@ -255,9 +275,6 @@ EXPECTED = {
     "stats-ks-lilliefors": {
         "": "2e3bc3efabbe103965086a4c5027881b660cf6eb9dfb9a908c45973b35771713",
     },
-    "stats-pca-csv": {
-        "": "c3303de7a7b9555234ce4e4d7835dc7ddc5ae1f64106c58ffe2827d1e1fa8959",
-    },
     "stats-pca-json": {
         "": "c3303de7a7b9555234ce4e4d7835dc7ddc5ae1f64106c58ffe2827d1e1fa8959",
     },
@@ -282,3 +299,11 @@ def test_output_digests(name, inputs, tmp_path, capsys):
     assert code == CASES[name][1]
     assert {suffix: sha256(data) for suffix, data in files.items()} == EXPECTED[name]
     assert printed == b"".join(files.values())
+
+
+def test_stats_pca_csv_is_usage_error(tmp_path, capsys):
+    # stats pca writes JSON only, so it offers no other --format
+    out = tmp_path / "out"
+    assert main(["stats", "pca", "--edition", "science", "--format", "csv", "--out", str(out)]) == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -31,7 +31,7 @@ class TestRunReproduction:
 
 
 class TestRunCategoryAnalysis:
-    @pytest.mark.parametrize("edition", ["science", "social"])
+    @pytest.mark.parametrize("edition", ["science", "social", "all"])
     def test_writes_its_five_reports(self, edition, tmp_path, capsys):
         assert load_script("run_category_analysis").run(edition, 6, tmp_path) == 0
         capsys.readouterr()

@@ -229,10 +229,52 @@ def pair_scan_ward(labels, vectors, standardize=True):
     return Dendrogram(leaf_labels, tuple(merges))
 
 
+def dense_matrix_ward(labels, vectors, standardize=True):
+    """The dense-matrix Ward that the row-minimum cache of ward_cluster replaced.
+
+    Kept as a differential oracle: every merge scans the whole matrix for its
+    minimum and for every pair tied at it, then writes the Lance-Williams row.
+    """
+    if len(labels) != len(vectors):
+        raise ValueError("labels and vectors must align")
+    if len(labels) < 2:
+        raise ValueError("need at least 2 complete vectors")
+    x = np.array(vectors, dtype=float)
+    if standardize:
+        x = _standardize(x)
+    n = len(labels)
+    # order leaves by label so the tie-break is permutation invariant
+    order = sorted(range(n), key=lambda i: labels[i])
+    x = x[order]
+    leaf_labels = tuple(labels[i] for i in order)
+
+    d = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d, np.inf)  # merged-away rows and columns become inf too
+    ids = list(range(n))  # row -> cluster id; row i keeps a merge of rows i < j
+    tags = list(leaf_labels)
+    sizes = np.ones(n, dtype=np.int64)  # never 0, so no 0 * inf (nan) in a dead row
+    merges = []
+    for new in range(n, 2 * n - 1):
+        h = d.min()
+        # exact ties only; the tag order makes the choice permutation invariant
+        # (then the older pairs first, as in a scan in order of cluster id)
+        i, j = min(
+            np.argwhere(np.triu(d == h, 1)).tolist(),
+            key=lambda p: (sorted(tags[r] for r in p), sorted(ids[r] for r in p)),
+        )
+        ni, nj = sizes[i], sizes[j]
+        row = ((ni + sizes) * d[i] + (nj + sizes) * d[j] - sizes * h) / (ni + nj + sizes)
+        d[i, :] = d[:, i] = row
+        d[j, :] = d[:, j] = d[i, i] = np.inf
+        merges.append(Merge(min(ids[i], ids[j]), max(ids[i], ids[j]), h, new, int(ni + nj)))
+        ids[i], tags[i], sizes[i] = new, min(tags[i], tags[j]), ni + nj
+    return Dendrogram(leaf_labels, tuple(merges))
+
+
 @st.composite
-def grid_points(draw, distinct=True):
-    """Small integer-grid inputs, where tied merge heights are common."""
-    n = draw(st.integers(2, 14))
+def grid_points(draw, distinct=True, max_n=14):
+    """Integer-grid inputs, where tied merge heights are common."""
+    n = draw(st.integers(2, max_n))
     dim = draw(st.integers(1, 3))
     points = draw(
         st.lists(st.lists(st.integers(0, 3), min_size=dim, max_size=dim), min_size=n, max_size=n)
@@ -264,6 +306,32 @@ class TestWard:
         labels, points = case
         expected = pair_scan_ward(labels, points, standardize=False)
         assert ward_cluster(labels, points, standardize=False) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans().flatmap(lambda distinct: grid_points(distinct, max_n=120)), st.booleans())
+    def test_bit_identical_to_dense_matrix(self, case, standardize):
+        # up to 120 points on a 4-point grid: many rows tie at each merge
+        labels, points = case
+        try:
+            expected = dense_matrix_ward(labels, points, standardize)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                ward_cluster(labels, points, standardize)
+            return
+        assert ward_cluster(labels, points, standardize) == expected
+
+    @pytest.mark.parametrize("edition", ["science", "social", "all"])
+    def test_bundled_table_identical_to_dense_matrix(self, fixture_rows, edition):
+        complete = [r for r in edition_rows(fixture_rows, edition) if r.is_complete()]
+        labels = [r.code for r in complete]
+        vectors = list(zip(*component_columns(complete).values()))
+        assert ward_cluster(labels, vectors) == dense_matrix_ward(labels, vectors)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vectors_rejected(self, bad):
+        for standardize in (True, False):
+            with pytest.raises(ValueError, match="vectors must be finite"):
+                ward_cluster(["x", "y", "z"], [[1.0, 2.0], [bad, 0.0], [3.0, 1.0]], standardize)
 
     def test_first_merges_on_line_points(self):
         d = ward_cluster(["p0", "p1", "p2", "p3"], [[0], [1], [10], [11]], standardize=False)
