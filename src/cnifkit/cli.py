@@ -52,7 +52,10 @@ def component_columns(rows: list[CategoryFixtureRow]) -> dict[str, list[Optional
 
 
 def _digits(value: str) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {n}")
     return n
@@ -394,7 +397,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         code, outputs = args.run.rows(args)
         for suffix, rows in outputs.items():
             if args.out is None:
-                ingest.emit_report(rows, args.format, sys.stdout)
+                try:
+                    ingest.emit_report(rows, args.format, sys.stdout)
+                    sys.stdout.flush()
+                except BrokenPipeError:  # the reader stopped early, as `| head` does
+                    with open(os.devnull, "w") as devnull:  # so the flush at exit is silent
+                        os.dup2(devnull.fileno(), sys.stdout.fileno())
+                    return code
                 continue
             with open(args.out + suffix, "w", encoding="utf-8") as f:
                 written.append(f.name)
@@ -402,7 +411,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code
     except FileNotFoundError as exc:
         message, code = f"file not found: {exc.filename}", USAGE_ERROR
-    except OSError as exc:  # a write to a closed stdout pipe names no file
+    except OSError as exc:  # a failed write to stdout names no file
         message = exc.strerror if exc.filename is None else f"{exc.filename}: {exc.strerror}"
         code = USAGE_ERROR
     except ingest.ParseError as exc:

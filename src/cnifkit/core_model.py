@@ -27,7 +27,7 @@ class JournalRecord:
     ``items_t*`` are citable-item counts in the census year t and the two
     target-window years.  ``cited_in_window`` counts citations received in
     year t to the t-1/t-2 volumes.  The three reference fields are optional:
-    absent means unknown, never zero.
+    absent means unknown, never zero.  A repeated category code raises ``ValueError``.
     """
 
     id: str
@@ -42,7 +42,10 @@ class JournalRecord:
     refs_jcr_in_window: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "categories", tuple(self.categories))
+        categories = tuple(self.categories)
+        if len(categories) > 1 and len(set(categories)) != len(categories):
+            raise ValueError(f"journal {self.id}: duplicate category codes")
+        object.__setattr__(self, "categories", categories)
 
     @property
     def items_window(self) -> int:
@@ -118,6 +121,7 @@ class CategoryInfo:
 class Dataset:
     """Immutable container: census year, journals, and the category registry.
 
+    Journal ids are unique: construction raises ``ValueError`` on a repeat.
     ``_cache`` holds values derived from ``journals`` on first use: the
     member index here, the category table in ``indicators`` and the CNIF
     scores in ``ranking``.  It is plain data, left out of equality and repr,
@@ -130,7 +134,13 @@ class Dataset:
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "journals", tuple(self.journals))
+        journals = tuple(self.journals)
+        ids: set[str] = set()
+        for j in journals:
+            if j.id in ids:
+                raise ValueError(f"duplicate journal id: {j.id}")
+            ids.add(j.id)
+        object.__setattr__(self, "journals", journals)
         object.__setattr__(self, "registry", dict(self.registry))
 
     def members(self, code: str) -> list[JournalRecord]:
@@ -140,7 +150,7 @@ class Dataset:
         if index is None:
             index = {}
             for j in self.journals:
-                for c in set(j.categories):  # a repeated code lists j once, as a scan does
+                for c in j.categories:
                     index.setdefault(c, []).append(j)
             self._cache["members"] = index
         return list(index.get(code, ()))
@@ -155,30 +165,6 @@ class Violation:
     rule: str
 
 
-def _check_journal(j: JournalRecord) -> list[Violation]:
-    out = []
-    if not j.categories:
-        out.append(Violation(j.id, "empty category list"))
-    if len(set(j.categories)) != len(j.categories):
-        out.append(Violation(j.id, "duplicate category codes"))
-    for name in ("items_t", "items_t1", "items_t2", "cited_in_window"):
-        if getattr(j, name) < 0:
-            out.append(Violation(j.id, f"negative count: {name}"))
-    for name in ("refs_total", "refs_jcr", "refs_jcr_in_window"):
-        v = getattr(j, name)
-        if v is not None and v < 0:
-            out.append(Violation(j.id, f"negative count: {name}"))
-    if j.refs_total is not None and j.refs_jcr is not None and j.refs_jcr > j.refs_total:
-        out.append(Violation(j.id, "refs_jcr exceeds refs_total"))
-    if (
-        j.refs_jcr is not None
-        and j.refs_jcr_in_window is not None
-        and j.refs_jcr_in_window > j.refs_jcr
-    ):
-        out.append(Violation(j.id, "refs_jcr_in_window exceeds refs_jcr"))
-    return out
-
-
 def validate(dataset: Dataset) -> list[Violation]:
     """Collect every invariant violation in the dataset.
 
@@ -187,12 +173,24 @@ def validate(dataset: Dataset) -> list[Violation]:
     of journal order up to ordering of the report.
     """
     report: list[Violation] = []
-    seen: set[str] = set()
     for j in dataset.journals:
-        if j.id in seen:
-            report.append(Violation(j.id, "duplicate journal id"))
-        seen.add(j.id)
-        report.extend(_check_journal(j))
+        if not j.categories:
+            report.append(Violation(j.id, "empty category list"))
+        for name in ("items_t", "items_t1", "items_t2", "cited_in_window"):
+            if getattr(j, name) < 0:
+                report.append(Violation(j.id, f"negative count: {name}"))
+        for name in ("refs_total", "refs_jcr", "refs_jcr_in_window"):
+            v = getattr(j, name)
+            if v is not None and v < 0:
+                report.append(Violation(j.id, f"negative count: {name}"))
+        if j.refs_total is not None and j.refs_jcr is not None and j.refs_jcr > j.refs_total:
+            report.append(Violation(j.id, "refs_jcr exceeds refs_total"))
+        if (
+            j.refs_jcr is not None
+            and j.refs_jcr_in_window is not None
+            and j.refs_jcr_in_window > j.refs_jcr
+        ):
+            report.append(Violation(j.id, "refs_jcr_in_window exceeds refs_jcr"))
         for code in j.categories:
             if code not in dataset.registry:
                 report.append(Violation(j.id, f"unregistered category: {code}"))

@@ -170,16 +170,10 @@ def meta_category_aggregate(dataset: Dataset, codes: Iterable[str]) -> CategoryA
 
 
 def jcr_aggregate(dataset: Dataset) -> CategoryAggregate:
-    """Whole-database aggregate, each journal counted once."""
+    """Whole-database aggregate over every journal."""
     if not dataset.journals:
         raise UndefinedIndicatorError("empty dataset has no whole-database aggregate")
-    seen: set[str] = set()
-    unique = []
-    for j in dataset.journals:
-        if j.id not in seen:
-            seen.add(j.id)
-            unique.append(j)
-    return _sum_aggregate(unique, "JCR", "all journals", Edition.UNION)
+    return _sum_aggregate(dataset.journals, "JCR", "all journals", Edition.UNION)
 
 
 def _category_table(journals: Sequence[JournalRecord]) -> tuple[dict, int, int]:
@@ -187,12 +181,11 @@ def _category_table(journals: Sequence[JournalRecord]) -> tuple[dict, int, int]:
     list another code; plus the whole-database sums (exact Python ints)."""
     by_code: dict[str, list] = {}
     for j in journals:
-        codes = set(j.categories)
-        for code in codes:
+        for code in j.categories:
             entry = by_code.setdefault(code, [0, 0, []])
             entry[0] += j.items_t1 + j.items_t2
             entry[1] += j.cited_in_window
-            if len(codes) > 1:
+            if len(j.categories) > 1:
                 entry[2].append(j)
     items = sum(j.items_t1 + j.items_t2 for j in journals)
     cited = sum(j.cited_in_window for j in journals)
@@ -204,39 +197,30 @@ def cnif(journal: JournalRecord, dataset: Dataset) -> NormalizedScore:
 
     With a single category the union is that category, so the score reduces
     to the whole-database AIF over the category AIF.  Both AIFs come from a
-    table built once per dataset; a dataset that repeats a journal id has
-    none, and its aggregates dedupe by id.
+    table built once per dataset.
     """
     if_value = impact_factor(journal)
-    cache = dataset._cache
-    if "category_table" not in cache:
-        journals = dataset.journals
-        unique_ids = len({j.id for j in journals}) == len(journals)
-        cache["category_table"] = _category_table(journals) if journals and unique_ids else None
-    table = cache["category_table"]
-    if table is None:
-        jcr_aif = aggregate_impact_factor(jcr_aggregate(dataset))
-        meta_aif = aggregate_impact_factor(meta_category_aggregate(dataset, journal.categories))
-    else:
-        by_code, jcr_items, jcr_cited = table
-        jcr_aif = _aif(("JCR",), jcr_cited, jcr_items)
-        items = cited = 0
-        seen: set[str] = set()
-        for code in journal.categories:
-            if code not in dataset.registry:
-                raise KeyError(f"unknown category: {code}")
-            if code in seen:
-                continue
-            code_items, code_cited, shared = by_code.get(code, (0, 0, ()))
-            items += code_items
-            cited += code_cited
-            if seen:
-                for m in shared:
-                    if not seen.isdisjoint(m.categories):  # counted with an earlier code
-                        items -= m.items_t1 + m.items_t2
-                        cited -= m.cited_in_window
-            seen.add(code)
-        meta_aif = _aif(journal.categories, cited, items)
+    if not dataset.journals:
+        raise UndefinedIndicatorError("empty dataset has no whole-database aggregate")
+    if "category_table" not in dataset._cache:
+        dataset._cache["category_table"] = _category_table(dataset.journals)
+    by_code, jcr_items, jcr_cited = dataset._cache["category_table"]
+    jcr_aif = _aif(("JCR",), jcr_cited, jcr_items)
+    items = cited = 0
+    seen: set[str] = set()
+    for code in journal.categories:
+        if code not in dataset.registry:
+            raise KeyError(f"unknown category: {code}")
+        code_items, code_cited, shared = by_code.get(code, (0, 0, ()))
+        items += code_items
+        cited += code_cited
+        if seen:
+            for m in shared:
+                if not seen.isdisjoint(m.categories):  # counted with an earlier code
+                    items -= m.items_t1 + m.items_t2
+                    cited -= m.cited_in_window
+        seen.add(code)
+    meta_aif = _aif(journal.categories, cited, items)
     if meta_aif == 0:
         raise UndefinedIndicatorError(
             f"journal {journal.id}: zero meta-category AIF, normalization undefined"

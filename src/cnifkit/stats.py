@@ -85,6 +85,12 @@ def listwise_complete(columns: dict[str, Sequence[Optional[float]]]) -> tuple[di
     return out, n - len(keep)
 
 
+def _sd(x: np.ndarray) -> np.ndarray:
+    """Sample sd (ddof=1) down the first axis; inf or nan, not a warning, on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x.std(axis=0, ddof=1)
+
+
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     xc = x - x.mean()
     yc = y - y.mean()
@@ -102,8 +108,8 @@ def correlation_matrix(columns: dict[str, Sequence[Optional[float]]]) -> Matrix:
     for k, v in complete.items():
         if len(v) < 2:
             raise ValueError("need at least 2 complete rows")
-        if np.ptp(v) == 0:
-            raise ValueError(f"column {k} has zero variance")
+        if not np.isfinite(_sd(v)) or np.ptp(v) == 0:
+            raise ValueError(f"column {k} has non-finite or zero variance")
     m = len(labels)
     out = np.eye(m)
     for i in range(m):
@@ -173,9 +179,9 @@ def pca_variance_shares(columns: dict[str, Sequence[Optional[float]]]) -> PcaRes
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
-    sd = x.std(axis=0, ddof=1)
-    if np.any(sd == 0):
-        raise ValueError("cannot standardize a zero-variance column")
+    sd = _sd(x)
+    if not np.all(np.isfinite(sd) & (sd != 0)):
+        raise ValueError("cannot standardize a non-finite or zero-variance column")
     return (x - x.mean(axis=0)) / sd
 
 
@@ -289,10 +295,10 @@ def ks_normality(sample: Sequence[float], alpha: float = 0.05, lilliefors: bool 
     n = len(x)
     if n < 5:
         raise ValueError(f"need at least 5 observations, got {n}")
+    s = _sd(x)
+    if s == 0 or not np.isfinite(s):
+        raise ValueError("degenerate sample: non-finite or zero standard deviation")
     m = x.mean()
-    s = x.std(ddof=1)
-    if s == 0:
-        raise ValueError("degenerate sample: zero standard deviation")
     cdf = np.array([_normal_cdf((v - m) / s) for v in x])
     i = np.arange(1, n + 1)
     d = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
@@ -311,10 +317,10 @@ def histogram_by_sd(sample: Sequence[float]) -> SdHistogram:
     n = len(x)
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
+    s = _sd(x)
+    if s == 0 or not np.isfinite(s):
+        raise ValueError("degenerate sample: non-finite or zero standard deviation")
     m = x.mean()
-    s = x.std(ddof=1)
-    if s == 0:
-        raise ValueError("degenerate sample: zero standard deviation")
     edges = [m + j * s for j in (-3, -2, -1, 0, 1, 2, 3)]
     counts = [int(np.sum(x < edges[0]))]
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -1,5 +1,4 @@
 import csv
-import errno
 import json
 import os
 import subprocess
@@ -71,7 +70,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("digits", ["-1", "x"])
     def test_bad_digits_is_usage_error(self, sample_csv, digits, capsys):
         assert main(["cnif", "--input", sample_csv, "--digits", digits]) == 2
-        assert "--digits" in capsys.readouterr().err
+        rule = "not an integer: 'x'" if digits == "x" else "must be a non-negative integer, got -1"
+        assert capsys.readouterr().err.endswith(f"error: argument --digits: {rule}\n")
 
     def test_zero_digits_accepted(self, sample_csv, capsys):
         assert main(["cnif", "--input", sample_csv, "--digits", "0"]) == 0
@@ -124,6 +124,28 @@ class TestExitCodes:
         out = tmp_path / "out.csv"
         assert main(command + ["--fixture", str(fixture), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: line 6: bad value in a: {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # an overflow warning fails the test
+    @pytest.mark.parametrize("value", ["1e200", "1.7e308", "-1.7e308"])
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["stats", "hist"], "degenerate sample: non-finite or zero standard deviation"),
+            (["stats", "corr"], "column a has non-finite or zero variance"),
+            (["stats", "cluster"], "cannot standardize a non-finite or zero-variance column"),
+            (["stats", "ks"], "degenerate sample: non-finite or zero standard deviation"),
+        ],
+        ids=["hist", "corr", "cluster", "ks"],
+    )
+    def test_huge_fixture_value_is_data_error(self, command, message, value, tmp_path, capsys):
+        text = Path(bundled_fixture_path()).read_text(encoding="utf-8")
+        s5 = "\nS5,\"AGR, MULTIDISCIPL\",science,140735,193124,15625,23783,0.63,"
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_text(text.replace(s5, s5[:-5] + value + ","), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(command + ["--fixture", str(fixture), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["0", "-1", "1", "1.5", "inf", "nan", "x"])
@@ -179,14 +201,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {out}.summary: Is a directory\n"
         assert not out.exists()
 
-    def test_closed_stdout_pipe_is_reported_without_traceback(self, sample_csv, monkeypatch, capsys):
-        class ClosedPipe:
-            def write(self, text):
-                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
-
-        monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        assert main(["cnif", "--input", sample_csv]) == 2
-        assert capsys.readouterr().err == "error: Broken pipe\n"
+    def test_closed_stdout_pipe_ends_quietly(self, tmp_path):
+        # as `| head -1`: the output is larger than a pipe holds, so the writer
+        # meets the closed pipe; the command keeps its own exit code
+        rows = [f"j{i},J,A,1,2,3,4,10,20,5" for i in range(10000)]  # refs_jcr > refs_total
+        bad = tmp_path / "bad.csv"
+        bad.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        good = tmp_path / "good.csv"
+        good.write_text(HEADER + "\n" + "\n".join(r[: -len("10,20,5")] + ",," for r in rows) + "\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        for command, code, unbuffered in [
+            (["validate", "--input", str(bad)], 1, "1"),
+            (["rank", "--input", str(good)], 0, ""),
+        ]:
+            with subprocess.Popen(
+                [sys.executable, "-m", "cnifkit", *command],
+                env=dict(env, PYTHONUNBUFFERED=unbuffered),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            ) as proc:
+                assert proc.stdout.readline()
+                proc.stdout.close()
+                assert proc.wait(timeout=60) == code
+                assert proc.stderr.read() == b""
 
     @pytest.mark.parametrize("line", [2, 500])
     def test_non_utf8_byte_is_usage_error_at_its_line(self, line, tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cnifkit import indicators, ranking
 from cnifkit.cli import main
-from cnifkit.core_model import JournalRecord, UndefinedIndicatorError
+from cnifkit.core_model import UndefinedIndicatorError
 from cnifkit.indicators import (
     aggregate_impact_factor,
     cnif,
@@ -26,15 +26,14 @@ from conftest import make_dataset, make_journal
 CODES = ("A", "B", "C", "D", "E")
 
 
-def random_dataset(rnd, n, repeat_ids=False):
+def random_dataset(rnd, n):
     journals = []
     for i in range(n):
         cats = rnd.sample(CODES, rnd.randint(1, 3))  # random code order
-        jid = f"j{rnd.randrange(n)}" if repeat_ids else f"j{i}"
         # positive counts keep every IF and union AIF defined and nonzero
         journals.append(
             make_journal(
-                jid,
+                f"j{i}",
                 cats,
                 rnd.randint(1, 10**6),
                 rnd.randint(0, 10**6),
@@ -56,9 +55,9 @@ def scan_members(ds, code):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=False), st.integers(1, 3), st.booleans())
-def test_cnif_bit_identical_to_uncached_composition(rnd, n_datasets, repeat_ids):
-    datasets = [random_dataset(rnd, rnd.randint(1, 25), repeat_ids) for _ in range(n_datasets)]
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+def test_cnif_bit_identical_to_uncached_composition(rnd, n_datasets):
+    datasets = [random_dataset(rnd, rnd.randint(1, 25)) for _ in range(n_datasets)]
     expected = {
         (d, k): uncached_cnif(ds, j)
         for d, ds in enumerate(datasets)
@@ -92,14 +91,12 @@ def uncached_score(ds, j):
 
 
 def degenerate_dataset(rnd, n):
-    """Journals in random code order, a few listing a code twice (as only the
-    API allows); every member of a dead code has a zero window."""
+    """Journals in random code order; every member of a dead code has a zero
+    window."""
     dead = {c for c in CODES if rnd.random() < 0.3}
     journals = []
     for i in range(n):
         cats = rnd.sample(CODES, rnd.randint(1, 3))
-        if rnd.random() < 0.1:
-            cats.append(rnd.choice(cats))
         zero_window = not dead.isdisjoint(cats) or rnd.random() < 0.2
         items_t1, items_t2 = (0, 0) if zero_window else (rnd.randint(0, 50), rnd.randint(1, 50))
         cited = rnd.choice([0, rnd.randint(0, 10**6)])
@@ -110,14 +107,15 @@ def degenerate_dataset(rnd, n):
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_table_aifs_bit_identical_to_uncached_aggregates(rnd):
-    ds = degenerate_dataset(rnd, rnd.randint(1, 20))
+    ds = degenerate_dataset(rnd, rnd.randint(0, 20))
     # the dataset's own journals, and outside journals listing their codes
     # shuffled or with an unregistered code
     probes = list(ds.journals) + [
         make_journal("p", rnd.sample(j.categories, len(j.categories)), 1, 1, 1)
         for j in ds.journals
     ]
-    probes.append(make_journal("q", [*rnd.choice(ds.journals).categories, "Z"], 1, 1, 1))
+    codes = rnd.choice(ds.journals).categories if ds.journals else ()
+    probes.append(make_journal("q", [*codes, "Z"], 1, 1, 1))
     rnd.shuffle(probes)
     for j in probes:
         expected = outcome(lambda: uncached_score(ds, j))
@@ -130,9 +128,9 @@ def test_table_aifs_bit_identical_to_uncached_aggregates(rnd):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=False), st.booleans())
-def test_members_matches_linear_scan(rnd, repeat_ids):
-    ds = random_dataset(rnd, rnd.randint(0, 25), repeat_ids)
+@given(st.randoms(use_true_random=False))
+def test_members_matches_linear_scan(rnd):
+    ds = random_dataset(rnd, rnd.randint(0, 25))
     for code in ds.category_codes():
         first = ds.members(code)
         assert first == scan_members(ds, code)
@@ -140,13 +138,6 @@ def test_members_matches_linear_scan(rnd, repeat_ids):
         second = ds.members(code)
         assert second is not first
         assert second == scan_members(ds, code)
-
-
-def test_members_lists_a_journal_once_despite_repeated_codes():
-    # API-built datasets may repeat a code; validate() reports it, parse rejects it
-    j = JournalRecord("j1", "J1", ("A", "A"), 1, 1, 1, 1)
-    ds = make_dataset([j])
-    assert ds.members("A") == scan_members(ds, "A") == [j]
 
 
 @settings(max_examples=20, deadline=None)

@@ -34,8 +34,17 @@ def test_well_formed_dataset_has_empty_report():
 
 
 def test_duplicate_journal_id_reported():
-    ds = make_dataset([make_journal("j1", ["A"], 1, 1, 1), make_journal("j1", ["A"], 2, 2, 2)])
-    assert any(v.rule == "duplicate journal id" for v in validate(ds))
+    # a construction error; such a dataset once gave j1's union AIF 5.0 for
+    # codes A+B and 0.1 for B+A
+    journals = [make_journal("j1", ["A"], 1, 1, 10), make_journal("j1", ["B"], 5, 5, 1)]
+    with pytest.raises(ValueError, match="^duplicate journal id: j1$"):
+        make_dataset(journals)
+
+
+def test_repeated_category_code_rejected_at_construction():
+    for categories in [("A", "A"), ["B", "A", "B"]]:
+        with pytest.raises(ValueError, match="^journal j1: duplicate category codes$"):
+            JournalRecord("j1", "J1", categories, 1, 1, 1, 1)
 
 
 def test_unregistered_category_reported():
