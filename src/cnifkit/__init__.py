@@ -9,11 +9,9 @@ sd-band histograms).
 
 from .core_model import (
     CategoryAggregate,
-    CategoryInfo,
     ComponentVector,
     Dataset,
     Edition,
-    InsufficientDataError,
     JournalRecord,
     UndefinedIndicatorError,
     Violation,
@@ -37,11 +35,9 @@ from .indicators import (
 
 __all__ = [
     "CategoryAggregate",
-    "CategoryInfo",
     "ComponentVector",
     "Dataset",
     "Edition",
-    "InsufficientDataError",
     "JournalRecord",
     "NormalizedScore",
     "UndefinedIndicatorError",

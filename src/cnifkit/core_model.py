@@ -12,10 +12,6 @@ class Edition(Enum):
     UNION = "union"
 
 
-class InsufficientDataError(ValueError):
-    """An operation needed an optional field that is absent."""
-
-
 class UndefinedIndicatorError(ValueError):
     """A denominator required by an indicator is zero."""
 
@@ -68,8 +64,6 @@ class CategoryAggregate:
     """
 
     code: str
-    name: str
-    edition: Edition
     a_t: int = 0
     a_t1: int = 0
     a_t2: int = 0
@@ -111,15 +105,8 @@ class ComponentVector:
 
 
 @dataclass(frozen=True)
-class CategoryInfo:
-    code: str
-    name: str
-    edition: Edition
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Immutable container: census year, journals, and the category registry.
+    """Immutable container of journals; its categories are the codes they list.
 
     Journal ids are unique: construction raises ``ValueError`` on a repeat.
     ``_cache`` holds values derived from ``journals`` on first use: the
@@ -128,9 +115,7 @@ class Dataset:
     and stays valid only because ``journals`` never changes.
     """
 
-    year: int
     journals: tuple[JournalRecord, ...]
-    registry: dict[str, CategoryInfo] = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -141,11 +126,8 @@ class Dataset:
                 raise ValueError(f"duplicate journal id: {j.id}")
             ids.add(j.id)
         object.__setattr__(self, "journals", journals)
-        object.__setattr__(self, "registry", dict(self.registry))
 
-    def members(self, code: str) -> list[JournalRecord]:
-        if code not in self.registry:
-            raise KeyError(f"unknown category: {code}")
+    def _index(self) -> dict[str, list[JournalRecord]]:
         index = self._cache.get("members")
         if index is None:
             index = {}
@@ -153,10 +135,16 @@ class Dataset:
                 for c in j.categories:
                     index.setdefault(c, []).append(j)
             self._cache["members"] = index
-        return list(index.get(code, ()))
+        return index
+
+    def members(self, code: str) -> list[JournalRecord]:
+        members = self._index().get(code)
+        if members is None:
+            raise KeyError(f"unknown category: {code}")
+        return list(members)
 
     def category_codes(self) -> list[str]:
-        return sorted(self.registry)
+        return sorted(self._index())
 
 
 @dataclass(frozen=True)
@@ -191,7 +179,4 @@ def validate(dataset: Dataset) -> list[Violation]:
             and j.refs_jcr_in_window > j.refs_jcr
         ):
             report.append(Violation(j.id, "refs_jcr_in_window exceeds refs_jcr"))
-        for code in j.categories:
-            if code not in dataset.registry:
-                report.append(Violation(j.id, f"unregistered category: {code}"))
     return report

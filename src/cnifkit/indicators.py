@@ -8,7 +8,6 @@ from .core_model import (
     CategoryAggregate,
     ComponentVector,
     Dataset,
-    Edition,
     JournalRecord,
     UndefinedIndicatorError,
 )
@@ -45,9 +44,7 @@ def impact_factor(journal: JournalRecord) -> float:
     return journal.cited_in_window / denom
 
 
-def _sum_aggregate(
-    journals: Sequence[JournalRecord], code: str, name: str, edition: Edition
-) -> CategoryAggregate:
+def _sum_aggregate(journals: Sequence[JournalRecord], code: str) -> CategoryAggregate:
     a_t = a_t1 = a_t2 = ncited = 0
     refs_total = refs_jcr = nciting = 0
     excluded = 0
@@ -64,8 +61,6 @@ def _sum_aggregate(
             excluded += 1
     return CategoryAggregate(
         code=code,
-        name=name,
-        edition=edition,
         a_t=a_t,
         a_t1=a_t1,
         a_t2=a_t2,
@@ -83,9 +78,7 @@ def category_aggregate(dataset: Dataset, code: str) -> CategoryAggregate:
     A journal belonging to several categories contributes to each of them;
     deduplication applies only to union aggregates.
     """
-    members = dataset.members(code)
-    info = dataset.registry[code]
-    return _sum_aggregate(members, code, info.name, info.edition)
+    return _sum_aggregate(dataset.members(code), code)
 
 
 def _aif(codes: Iterable[str], ncited: int, items_window: int) -> float:
@@ -165,15 +158,14 @@ def meta_category_aggregate(dataset: Dataset, codes: Iterable[str]) -> CategoryA
             if j.id not in seen:
                 seen.add(j.id)
                 union.append(j)
-    label = "+".join(sorted(codes))
-    return _sum_aggregate(union, label, label, Edition.UNION)
+    return _sum_aggregate(union, "+".join(sorted(codes)))
 
 
 def jcr_aggregate(dataset: Dataset) -> CategoryAggregate:
     """Whole-database aggregate over every journal."""
     if not dataset.journals:
         raise UndefinedIndicatorError("empty dataset has no whole-database aggregate")
-    return _sum_aggregate(dataset.journals, "JCR", "all journals", Edition.UNION)
+    return _sum_aggregate(dataset.journals, "JCR")
 
 
 def _category_table(journals: Sequence[JournalRecord]) -> tuple[dict, int, int]:
@@ -209,9 +201,9 @@ def cnif(journal: JournalRecord, dataset: Dataset) -> NormalizedScore:
     items = cited = 0
     seen: set[str] = set()
     for code in journal.categories:
-        if code not in dataset.registry:
+        if code not in by_code:
             raise KeyError(f"unknown category: {code}")
-        code_items, code_cited, shared = by_code.get(code, (0, 0, ()))
+        code_items, code_cited, shared = by_code[code]
         items += code_items
         cited += code_cited
         if seen:

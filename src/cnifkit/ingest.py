@@ -8,12 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator, Optional, Sequence, TypeVar
 
-from .core_model import (
-    CategoryInfo,
-    Dataset,
-    Edition,
-    JournalRecord,
-)
+from .core_model import Dataset, Edition, JournalRecord
 
 JOURNAL_HEADER = [
     "id",
@@ -130,19 +125,16 @@ def _parse_count(value: str, column: str, line: int) -> int:
     return n
 
 
-def parse_journals_csv(stream: IO[str], year: int = 0, strict: bool = True) -> Dataset:
+def parse_journals_csv(stream: IO[str], strict: bool = True) -> Dataset:
     """Parse the journal-level CSV schema into a validated Dataset.
 
     One streaming pass checks each record as it is read and raises a
     structural error at once.  ``strict`` adds ``validate``'s two cross-field
     rules; the first record breaking one is raised after the last row, so
-    structural errors anywhere come first.  The category registry is built
-    from the codes encountered; editions are unknown at the journal level, so
-    every entry is tagged Union.
+    structural errors anywhere come first.
     """
     journals = []
     seen: set[str] = set()
-    codes: set[str] = set()
     violation = None
     for line, row in _records(stream, JOURNAL_HEADER):
         if len(row) != len(JOURNAL_HEADER):
@@ -160,7 +152,6 @@ def parse_journals_csv(stream: IO[str], year: int = 0, strict: bool = True) -> D
                 raise ParseError(line, f"journal {jid}: empty category list")
         if len(categories) > 1 and len(set(categories)) != len(categories):
             raise ParseError(line, f"journal {jid}: duplicate category codes")
-        codes.update(categories)
         try:
             t, t1, t2, cited = int(t), int(t1), int(t2), int(cited)
             rt = int(rt) if rt else None
@@ -181,8 +172,7 @@ def parse_journals_csv(stream: IO[str], year: int = 0, strict: bool = True) -> D
         journals.append(JournalRecord(jid, name, categories, t, t1, t2, cited, rt, rj, rjw))
     if violation is not None:
         raise violation
-    registry = {c: CategoryInfo(c, c, Edition.UNION) for c in codes}
-    return Dataset(year=year, journals=tuple(journals), registry=registry)
+    return Dataset(tuple(journals))
 
 
 def read_csv(path: str, parse: Callable[..., T], **kwargs) -> T:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .core_model import Dataset, JournalRecord
 from .indicators import cnif, impact_factor
@@ -65,8 +65,6 @@ def rank_category(dataset: Dataset, category: str, scorer: str = "if") -> list[R
     percentile is rank over category size times 100, so lower is better.
     """
     members = dataset.members(category)
-    if not members:
-        raise ValueError(f"category {category} is empty")
     score = score_function(dataset, scorer)
     scored = sorted(((score(j), j.id) for j in members), key=lambda t: (-t[0], t[1]))
     n = len(scored)
@@ -98,16 +96,13 @@ def _percentile_map(
 
 
 def compare_gaps(
-    dataset: Dataset,
-    multi_category_only: bool = True,
-    categories: Optional[list[str]] = None,
+    dataset: Dataset, multi_category_only: bool = True
 ) -> tuple[GapSummary, list[GapReport]]:
     """Per-journal gap under IF and CNIF plus a summary over the filter.
 
     ``fraction_reduced`` counts strict decreases of the gap only.
     """
-    codes = categories if categories is not None else dataset.category_codes()
-    codes = [c for c in codes if dataset.members(c)]
+    codes = dataset.category_codes()
     by_if = _percentile_map(dataset, "if", codes)
     by_cnif = _percentile_map(dataset, "cnif", codes)
     reports = []

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from importlib import resources
 
-COMPONENT_LABELS = ("a", "r", "p", "w", "b")
-
 # Pairwise component correlations per edition, upper triangle.
 CORRELATIONS = {
     "science": {

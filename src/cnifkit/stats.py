@@ -91,10 +91,13 @@ def _sd(x: np.ndarray) -> np.ndarray:
         return x.std(axis=0, ddof=1)
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+def _pearson(x: np.ndarray, y: np.ndarray, pair: tuple[str, str]) -> float:
     xc = x - x.mean()
     yc = y - y.mean()
-    return float(np.dot(xc, yc) / math.sqrt(np.dot(xc, xc) * np.dot(yc, yc)))
+    ss = float(np.dot(xc, xc)) * float(np.dot(yc, yc))  # inf, not a warning, on overflow
+    if not math.isfinite(ss):
+        raise ValueError(f"correlation of {pair[0]} and {pair[1]} overflows")
+    return float(np.dot(xc, yc) / math.sqrt(ss))
 
 
 def correlation_matrix(columns: dict[str, Sequence[Optional[float]]]) -> Matrix:
@@ -114,7 +117,7 @@ def correlation_matrix(columns: dict[str, Sequence[Optional[float]]]) -> Matrix:
     out = np.eye(m)
     for i in range(m):
         for j in range(i + 1, m):
-            rho = _pearson(complete[labels[i]], complete[labels[j]])
+            rho = _pearson(complete[labels[i]], complete[labels[j]], (labels[i], labels[j]))
             out[i, j] = out[j, i] = rho
     return Matrix(labels, out)
 
@@ -185,6 +188,9 @@ def _standardize(x: np.ndarray) -> np.ndarray:
     return (x - x.mean(axis=0)) / sd
 
 
+# an overflow leaves inf between two live clusters until they merge, so it
+# shows as an infinite merge height, never as a wrong finite one
+@np.errstate(over="ignore")
 def ward_cluster(
     labels: Sequence[str], vectors: Sequence[Sequence[float]], standardize: bool = True
 ) -> Dendrogram:
@@ -221,6 +227,8 @@ def ward_cluster(
     merges = []
     for new in range(n, 2 * n - 1):
         h = best.min()
+        if h == np.inf:
+            raise ValueError("squared distances between the vectors overflow")
         # exact ties only, all in the rows whose minimum is h; the tag order makes
         # the choice permutation invariant (then the older pairs first, as in a
         # scan in order of cluster id)

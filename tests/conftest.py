@@ -2,15 +2,13 @@ import random
 
 import pytest
 
-from cnifkit.core_model import CategoryInfo, Dataset, Edition, JournalRecord
+from cnifkit.core_model import Dataset, JournalRecord
 from cnifkit.ingest import parse_category_fixture_csv
 from cnifkit.reference import bundled_fixture_path
 
 
-def make_dataset(journals, year=2010):
-    codes = {c for j in journals for c in j.categories}
-    registry = {c: CategoryInfo(c, c, Edition.UNION) for c in codes}
-    return Dataset(year=year, journals=tuple(journals), registry=registry)
+def make_dataset(journals):
+    return Dataset(tuple(journals))
 
 
 def make_journal(jid, categories, items_t1, items_t2, cited, items_t=0, refs=None):

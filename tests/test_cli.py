@@ -148,6 +148,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")  # an overflow warning fails the test
+    def test_overflowing_correlation_is_data_error(self, tmp_path, capsys):
+        # each sd is finite (about 7e98), but their product of sums of squares is not
+        text = Path(bundled_fixture_path()).read_text(encoding="utf-8")
+        s5 = "\nS5,\"AGR, MULTIDISCIPL\",science,140735,193124,15625,23783,0.63,32.96,"
+        assert s5 in text
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_text(text.replace(s5, s5[:-11] + "1e100,1e100,"), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["stats", "corr", "--fixture", str(fixture), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: correlation of a and r overflows\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["0", "-1", "1", "1.5", "inf", "nan", "x"])
     def test_alpha_outside_unit_interval_is_usage_error(self, alpha, tmp_path, capsys):
         out = tmp_path / "k.csv"

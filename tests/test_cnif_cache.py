@@ -15,6 +15,7 @@ from cnifkit.cli import main
 from cnifkit.core_model import UndefinedIndicatorError
 from cnifkit.indicators import (
     aggregate_impact_factor,
+    category_aggregate,
     cnif,
     impact_factor,
     jcr_aggregate,
@@ -131,13 +132,21 @@ def test_table_aifs_bit_identical_to_uncached_aggregates(rnd):
 @given(st.randoms(use_true_random=False))
 def test_members_matches_linear_scan(rnd):
     ds = random_dataset(rnd, rnd.randint(0, 25))
+    # the dataset's categories are exactly the codes its journals list
+    assert ds.category_codes() == sorted({c for j in ds.journals for c in j.categories})
     for code in ds.category_codes():
         first = ds.members(code)
+        assert first
         assert first == scan_members(ds, code)
         first.clear()
         second = ds.members(code)
         assert second is not first
         assert second == scan_members(ds, code)
+    for code in set(CODES + ("Z",)) - set(ds.category_codes()):
+        for call in (ds.members, lambda c: category_aggregate(ds, c),
+                     lambda c: ranking.rank_category(ds, c)):
+            with pytest.raises(KeyError, match=f"^'unknown category: {code}'$"):
+                call(code)
 
 
 @settings(max_examples=20, deadline=None)

@@ -47,14 +47,6 @@ def test_repeated_category_code_rejected_at_construction():
             JournalRecord("j1", "J1", categories, 1, 1, 1, 1)
 
 
-def test_unregistered_category_reported():
-    from cnifkit.core_model import Dataset
-
-    j = make_journal("j1", ["A"], 1, 1, 1)
-    ds = Dataset(year=2010, journals=(j,), registry={})
-    assert any("unregistered category" in v.rule for v in validate(ds))
-
-
 def test_negative_counts_reported():
     j = JournalRecord("j1", "J1", ("A",), 1, -3, 1, 1)
     report = validate(make_dataset([j]))

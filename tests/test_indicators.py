@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from cnifkit.core_model import (
     CategoryAggregate,
     ComponentVector,
-    Edition,
     UndefinedIndicatorError,
 )
 from cnifkit import indicators
@@ -37,8 +36,6 @@ from conftest import make_dataset, make_journal, random_journal
 
 
 def agg(code="X", **kw):
-    kw.setdefault("name", code)
-    kw.setdefault("edition", Edition.SCIENCE)
     return CategoryAggregate(code=code, **kw)
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnifkit.cli import main
-from cnifkit.core_model import CategoryInfo, Dataset, Edition, JournalRecord, validate
+from cnifkit.core_model import Dataset, JournalRecord, validate
 from cnifkit.ingest import (
     JOURNAL_HEADER,
     ParseError,
@@ -47,7 +47,7 @@ def _oracle_optional_count(value: str, column: str, line: int) -> Optional[int]:
     return _oracle_count(value, column, line)
 
 
-def oracle_parse_journals_csv(stream, year: int = 0, strict: bool = True) -> Dataset:
+def oracle_parse_journals_csv(stream, strict: bool = True) -> Dataset:
     reader = csv.reader(stream)
     rows = list(reader)
     if not rows:
@@ -56,7 +56,6 @@ def oracle_parse_journals_csv(stream, year: int = 0, strict: bool = True) -> Dat
         raise ParseError(1, f"bad header: expected {JOURNAL_HEADER}, got {rows[0]}")
     journals = []
     seen: set[str] = set()
-    codes: set[str] = set()
     for offset, row in enumerate(rows[1:], start=2):
         if len(row) != len(JOURNAL_HEADER):
             raise ParseError(offset, f"expected {len(JOURNAL_HEADER)} fields, got {len(row)}")
@@ -71,7 +70,6 @@ def oracle_parse_journals_csv(stream, year: int = 0, strict: bool = True) -> Dat
             raise ParseError(offset, f"journal {jid}: empty category list")
         if len(set(categories)) != len(categories):
             raise ParseError(offset, f"journal {jid}: duplicate category codes")
-        codes.update(categories)
         journals.append(
             JournalRecord(
                 id=jid,
@@ -86,8 +84,7 @@ def oracle_parse_journals_csv(stream, year: int = 0, strict: bool = True) -> Dat
                 refs_jcr_in_window=_oracle_optional_count(row[9], "refs_jcr_in_window", offset),
             )
         )
-    registry = {c: CategoryInfo(c, c, Edition.UNION) for c in codes}
-    dataset = Dataset(year=year, journals=tuple(journals), registry=registry)
+    dataset = Dataset(tuple(journals))
     if strict:
         bad = validate(dataset)
         if bad:
@@ -156,7 +153,7 @@ def _outcome(parse, text: str, strict: bool, stream: str = "plain"):
         raw = (b"\xef\xbb\xbf" if stream == "bom" else b"") + text.encode("utf-8")
         source = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
     try:
-        return parse(source, year=2010, strict=strict)
+        return parse(source, strict=strict)
     except ParseError as exc:
         return (exc.line, str(exc))
 

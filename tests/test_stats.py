@@ -333,6 +333,21 @@ class TestWard:
             with pytest.raises(ValueError, match="vectors must be finite"):
                 ward_cluster(["x", "y", "z"], [[1.0, 2.0], [bad, 0.0], [3.0, 1.0]], standardize)
 
+    @pytest.mark.filterwarnings("error")  # an overflow warning fails the test
+    @pytest.mark.parametrize(
+        "vectors",
+        [[[1e200], [1e200], [-1e200], [0]], [[6e153], [-6e153], [0], [1]]],
+        ids=["squared-distance", "lance-williams-update"],
+    )
+    def test_overflowing_distances_rejected(self, vectors):
+        with pytest.raises(ValueError, match="^squared distances between the vectors overflow$"):
+            ward_cluster(list("abcd"), vectors, standardize=False)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_distances_cluster(self):
+        d = ward_cluster(list("abcd"), [[3e153], [-3e153], [0], [1]], standardize=False)
+        assert [m.height for m in d.merges] == [1.0, 1.2e307, 2.4e307]
+
     def test_first_merges_on_line_points(self):
         d = ward_cluster(["p0", "p1", "p2", "p3"], [[0], [1], [10], [11]], standardize=False)
         first_two = {frozenset((m.left, m.right)) for m in d.merges[:2]}
