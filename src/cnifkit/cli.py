@@ -97,7 +97,7 @@ def _indicator_rows(args) -> Outputs:
     rows = []
     for code in dataset.category_codes():
         agg = indicators.category_aggregate(dataset, code)
-        row = {"category": code, "journals": len(dataset.members(code))}
+        row = {"category": code, "journals": len(dataset.member_rows(code))}
         try:
             row["aif"] = _fmt(indicators.aggregate_impact_factor(agg), args.digits)
         except ValueError:  # UndefinedIndicatorError
@@ -135,12 +135,13 @@ def _decompose_rows(args) -> Outputs:
 
 def _cnif_rows(args) -> Outputs:
     dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
+    ids = dataset.columns["id"]
     rows = []
-    for j in sorted(dataset.journals, key=lambda j: j.id):
-        score = indicators.cnif(j, dataset)
+    for i in sorted(range(len(ids)), key=ids.__getitem__):
+        score = indicators.row_cnif(dataset, i)
         rows.append(
             {
-                "journal_id": j.id,
+                "journal_id": score.journal_id,
                 "if": _fmt(score.if_value, args.digits),
                 **_cells(score, ("meta_aif", "jcr_aif", "score", "cnif"), args.digits),
             }
@@ -169,16 +170,17 @@ def _gap_rows(args) -> Outputs:
     dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
     summary, reports = ranking.compare_gaps(dataset)
     cnif_score = ranking.score_function(dataset, "cnif")
-    by_id = {j.id: j for j in dataset.journals}
+    ids, categories = dataset.columns["id"], dataset.columns["categories"]
+    by_id = iter(sorted(range(len(ids)), key=ids.__getitem__))  # compare_gaps reports in id order
     rows = []
     for r in reports:
-        j = by_id[r.journal_id]
+        i = next(i for i in by_id if ids[i] == r.journal_id)
         rows.append(
             {
                 "journal_id": r.journal_id,
-                "categories": ";".join(j.categories),
-                "if": _fmt(indicators.impact_factor(j), args.digits),
-                "cnif": _fmt(cnif_score(j), args.digits),
+                "categories": ";".join(categories[i]),
+                "if": _fmt(indicators.row_impact_factor(dataset, i), args.digits),
+                "cnif": _fmt(cnif_score(i), args.digits),
                 "gap_if": _fmt(r.gap_if, args.digits),
                 "gap_cnif": _fmt(r.gap_cnif, args.digits),
             }

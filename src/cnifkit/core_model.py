@@ -1,9 +1,9 @@
 """Domain types and dataset validation shared by all other modules."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 
 class Edition(Enum):
@@ -104,47 +104,78 @@ class ComponentVector:
             raise ValueError(f"component w must lie in [0,1], got {self.w}")
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Immutable container of journals; its categories are the codes they list.
+FIELDS = tuple(f.name for f in fields(JournalRecord))  # the columns of a Dataset, in order
+COUNT_FIELDS = FIELDS[3:]
 
-    Journal ids are unique: construction raises ``ValueError`` on a repeat.
-    ``_cache`` holds values derived from ``journals`` on first use: the
-    member index here, the category table in ``indicators`` and the CNIF
-    scores in ``ranking``.  It is plain data, left out of equality and repr,
-    and stays valid only because ``journals`` never changes.
+
+class Dataset:
+    """Journals held as columns; its categories are the codes they list.
+
+    ``columns`` maps each ``JournalRecord`` field name, in ``FIELDS`` order,
+    to a tuple of that field of every journal: row i is journal i.
+    ``member_rows(code)`` are the rows listing a code, in row order; callers
+    must not change them.  Journal ids are unique: construction raises
+    ``ValueError`` on a repeat.  ``_cache`` holds values derived from the
+    columns on first use: the records here, the category table in
+    ``indicators`` and the CNIF scores in ``ranking``.  It is left out of
+    equality and repr, and stays valid only because nothing changes the
+    columns after construction.
     """
 
-    journals: tuple[JournalRecord, ...]
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("columns", "_members", "_cache")
 
-    def __post_init__(self):
-        journals = tuple(self.journals)
+    def __init__(self, journals: Iterable[JournalRecord]):
+        journals = tuple(journals)
         ids: set[str] = set()
-        for j in journals:
+        members: dict[str, list[int]] = {}
+        for row, j in enumerate(journals):
             if j.id in ids:
                 raise ValueError(f"duplicate journal id: {j.id}")
             ids.add(j.id)
-        object.__setattr__(self, "journals", journals)
+            for c in j.categories:
+                members.setdefault(c, []).append(row)
+        self.columns = {name: tuple(getattr(j, name) for j in journals) for name in FIELDS}
+        self._members = members
+        self._cache = {"journals": journals}
 
-    def _index(self) -> dict[str, list[JournalRecord]]:
-        index = self._cache.get("members")
-        if index is None:
-            index = {}
-            for j in self.journals:
-                for c in j.categories:
-                    index.setdefault(c, []).append(j)
-            self._cache["members"] = index
-        return index
+    @classmethod
+    def _from_columns(cls, columns: dict[str, tuple], members: dict[str, list[int]]) -> Dataset:
+        """A dataset of checked columns and each code's member rows, as the parser builds them."""
+        dataset = cls.__new__(cls)
+        dataset.columns, dataset._members, dataset._cache = columns, members, {}
+        return dataset
+
+    @property
+    def journals(self) -> tuple[JournalRecord, ...]:
+        """The journals as records, built on first use."""
+        journals = self._cache.get("journals")
+        if journals is None:
+            journals = self._cache["journals"] = tuple(map(JournalRecord, *self.columns.values()))
+        return journals
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.columns == other.columns
+
+    def __hash__(self):
+        return hash(tuple(self.columns.values()))
+
+    def __repr__(self):
+        return f"Dataset(journals={self.journals!r})"
+
+    def member_rows(self, code: str) -> list[int]:
+        rows = self._members.get(code)
+        if rows is None:
+            raise KeyError(f"unknown category: {code}")
+        return rows
 
     def members(self, code: str) -> list[JournalRecord]:
-        members = self._index().get(code)
-        if members is None:
-            raise KeyError(f"unknown category: {code}")
-        return list(members)
+        journals = self.journals
+        return [journals[i] for i in self.member_rows(code)]
 
     def category_codes(self) -> list[str]:
-        return sorted(self._index())
+        return sorted(self._members)
 
 
 @dataclass(frozen=True)
@@ -161,22 +192,15 @@ def validate(dataset: Dataset) -> list[Violation]:
     of journal order up to ordering of the report.
     """
     report: list[Violation] = []
-    for j in dataset.journals:
-        if not j.categories:
-            report.append(Violation(j.id, "empty category list"))
-        for name in ("items_t", "items_t1", "items_t2", "cited_in_window"):
-            if getattr(j, name) < 0:
-                report.append(Violation(j.id, f"negative count: {name}"))
-        for name in ("refs_total", "refs_jcr", "refs_jcr_in_window"):
-            v = getattr(j, name)
+    for row in zip(*dataset.columns.values()):
+        jid, _, categories, _, _, _, _, rt, rj, rjw = row
+        if not categories:
+            report.append(Violation(jid, "empty category list"))
+        for name, v in zip(COUNT_FIELDS, row[3:]):
             if v is not None and v < 0:
-                report.append(Violation(j.id, f"negative count: {name}"))
-        if j.refs_total is not None and j.refs_jcr is not None and j.refs_jcr > j.refs_total:
-            report.append(Violation(j.id, "refs_jcr exceeds refs_total"))
-        if (
-            j.refs_jcr is not None
-            and j.refs_jcr_in_window is not None
-            and j.refs_jcr_in_window > j.refs_jcr
-        ):
-            report.append(Violation(j.id, "refs_jcr_in_window exceeds refs_jcr"))
+                report.append(Violation(jid, f"negative count: {name}"))
+        if rt is not None and rj is not None and rj > rt:
+            report.append(Violation(jid, "refs_jcr exceeds refs_total"))
+        if rj is not None and rjw is not None and rjw > rj:
+            report.append(Violation(jid, "refs_jcr_in_window exceeds refs_jcr"))
     return report

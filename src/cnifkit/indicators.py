@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .core_model import (
+    COUNT_FIELDS,
     CategoryAggregate,
     ComponentVector,
     Dataset,
@@ -36,12 +38,22 @@ class NormalizedScore:
 
 
 def impact_factor(journal: JournalRecord) -> float:
-    denom = journal.items_t1 + journal.items_t2
-    if denom == 0:
+    return _impact_factor(journal.id, journal.cited_in_window, journal.items_t1 + journal.items_t2)
+
+
+def row_impact_factor(dataset: Dataset, row: int) -> float:
+    """``impact_factor`` of the journal at ``row``, read from the columns."""
+    c = dataset.columns
+    items = c["items_t1"][row] + c["items_t2"][row]
+    return _impact_factor(c["id"][row], c["cited_in_window"][row], items)
+
+
+def _impact_factor(journal_id: str, cited: int, items: int) -> float:
+    if items == 0:
         raise UndefinedIndicatorError(
-            f"journal {journal.id}: no citable items in target window, IF undefined"
+            f"journal {journal_id}: no citable items in target window, IF undefined"
         )
-    return journal.cited_in_window / denom
+    return cited / items
 
 
 def _sum_aggregate(journals: Sequence[JournalRecord], code: str) -> CategoryAggregate:
@@ -78,7 +90,10 @@ def category_aggregate(dataset: Dataset, code: str) -> CategoryAggregate:
     A journal belonging to several categories contributes to each of them;
     deduplication applies only to union aggregates.
     """
-    return _sum_aggregate(dataset.members(code), code)
+    by_code = _table(dataset)[0]
+    if code not in by_code:
+        raise KeyError(f"unknown category: {code}")
+    return by_code[code][0]
 
 
 def _aif(codes: Iterable[str], ncited: int, items_window: int) -> float:
@@ -168,20 +183,45 @@ def jcr_aggregate(dataset: Dataset) -> CategoryAggregate:
     return _sum_aggregate(dataset.journals, "JCR")
 
 
-def _category_table(journals: Sequence[JournalRecord]) -> tuple[dict, int, int]:
-    """Per code: summed window items and citations, and the journals that also
-    list another code; plus the whole-database sums (exact Python ints)."""
-    by_code: dict[str, list] = {}
-    for j in journals:
-        for code in j.categories:
-            entry = by_code.setdefault(code, [0, 0, []])
-            entry[0] += j.items_t1 + j.items_t2
-            entry[1] += j.cited_in_window
-            if len(j.categories) > 1:
-                entry[2].append(j)
-    items = sum(j.items_t1 + j.items_t2 for j in journals)
-    cited = sum(j.cited_in_window for j in journals)
-    return {c: (i, n, tuple(shared)) for c, (i, n, shared) in by_code.items()}, items, cited
+def _category_table(dataset: Dataset) -> tuple[dict, CategoryAggregate]:
+    """Per code: its aggregate and its member rows that also list another
+    code; plus the whole-database aggregate.  One pass over the columns sums
+    exact Python ints."""
+    c = dataset.columns
+    sums = {code: [0] * 8 for code in dataset.category_codes()}  # CategoryAggregate's order
+    shared: dict[str, list[int]] = {code: [] for code in sums}
+    complete = []
+    rows = zip(c["categories"], *(c[name] for name in COUNT_FIELDS))
+    for row, (codes, t, t1, t2, cited, rt, rj, rjw) in enumerate(rows):
+        has_refs = rt is not None and rj is not None and rjw is not None
+        complete.append(has_refs)
+        for code in codes:
+            s = sums[code]
+            s[0] += t
+            s[1] += t1
+            s[2] += t2
+            s[5] += cited
+            if has_refs:
+                s[3] += rt
+                s[4] += rj
+                s[6] += rjw
+            else:
+                s[7] += 1
+        if len(codes) > 1:
+            for code in codes:
+                shared[code].append(row)
+    t, t1, t2, cited, *refs = (c[name] for name in COUNT_FIELDS)
+    rt, rj, rjw = (sum(compress(col, complete)) for col in refs)
+    jcr = [sum(t), sum(t1), sum(t2), rt, rj, sum(cited), rjw, complete.count(False)]
+    table = {code: (CategoryAggregate(code, *s), shared[code]) for code, s in sums.items()}
+    return table, CategoryAggregate("JCR", *jcr)
+
+
+def _table(dataset: Dataset) -> tuple[dict, CategoryAggregate]:
+    table = dataset._cache.get("category_table")
+    if table is None:
+        table = dataset._cache["category_table"] = _category_table(dataset)
+    return table
 
 
 def cnif(journal: JournalRecord, dataset: Dataset) -> NormalizedScore:
@@ -189,42 +229,60 @@ def cnif(journal: JournalRecord, dataset: Dataset) -> NormalizedScore:
 
     With a single category the union is that category, so the score reduces
     to the whole-database AIF over the category AIF.  Both AIFs come from a
-    table built once per dataset.
+    table built once per dataset.  ``score`` and ``cnif`` are each one
+    correctly rounded division of exact integer products, so journals whose
+    scores are equal rationals get equal floats; two different rationals
+    within half an ulp of each other still round to the same float.
     """
-    if_value = impact_factor(journal)
-    if not dataset.journals:
+    items = journal.items_t1 + journal.items_t2
+    return _cnif(dataset, journal.id, journal.categories, journal.cited_in_window, items)
+
+
+def row_cnif(dataset: Dataset, row: int) -> NormalizedScore:
+    """``cnif`` of the journal at ``row``, read from the columns."""
+    c = dataset.columns
+    items = c["items_t1"][row] + c["items_t2"][row]
+    return _cnif(dataset, c["id"][row], c["categories"][row], c["cited_in_window"][row], items)
+
+
+def _cnif(dataset: Dataset, journal_id: str, codes, cited: int, items: int) -> NormalizedScore:
+    if_value = _impact_factor(journal_id, cited, items)
+    if not dataset.columns["id"]:
         raise UndefinedIndicatorError("empty dataset has no whole-database aggregate")
-    if "category_table" not in dataset._cache:
-        dataset._cache["category_table"] = _category_table(dataset.journals)
-    by_code, jcr_items, jcr_cited = dataset._cache["category_table"]
-    jcr_aif = _aif(("JCR",), jcr_cited, jcr_items)
-    items = cited = 0
+    by_code, jcr = _table(dataset)
+    jcr_aif = aggregate_impact_factor(jcr)
+    if not codes:
+        raise UndefinedIndicatorError(f"journal {journal_id}: lists no category, CNIF undefined")
+    c = dataset.columns
+    categories, t1, t2, ncited = c["categories"], c["items_t1"], c["items_t2"], c["cited_in_window"]
+    union_items = union_cited = 0
     seen: set[str] = set()
-    for code in journal.categories:
+    for code in codes:
         if code not in by_code:
             raise KeyError(f"unknown category: {code}")
-        code_items, code_cited, shared = by_code[code]
-        items += code_items
-        cited += code_cited
+        agg, shared = by_code[code]
+        union_items += agg.items_window
+        union_cited += agg.ncited
         if seen:
             for m in shared:
-                if not seen.isdisjoint(m.categories):  # counted with an earlier code
-                    items -= m.items_t1 + m.items_t2
-                    cited -= m.cited_in_window
+                if not seen.isdisjoint(categories[m]):  # counted with an earlier code
+                    union_items -= t1[m] + t2[m]
+                    union_cited -= ncited[m]
         seen.add(code)
-    meta_aif = _aif(journal.categories, cited, items)
-    if meta_aif == 0:
+    meta_aif = _aif(codes, union_cited, union_items)
+    if union_cited == 0:
         raise UndefinedIndicatorError(
-            f"journal {journal.id}: zero meta-category AIF, normalization undefined"
+            f"journal {journal_id}: zero meta-category AIF, normalization undefined"
         )
-    score = jcr_aif / meta_aif
+    # score = (jcr cited / jcr items) / (union cited / union items), cnif = score * IF
+    num, den = jcr.ncited * union_items, jcr.items_window * union_cited
     return NormalizedScore(
-        journal_id=journal.id,
+        journal_id=journal_id,
         if_value=if_value,
         meta_aif=meta_aif,
         jcr_aif=jcr_aif,
-        score=score,
-        cnif=score * if_value,
+        score=num / den,
+        cnif=num * cited / (den * items),
     )
 
 

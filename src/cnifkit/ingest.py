@@ -5,10 +5,12 @@ import csv
 import io
 import json
 import math
+import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator, Optional, Sequence, TypeVar
 
-from .core_model import Dataset, Edition, JournalRecord
+from .core_model import FIELDS, Dataset, Edition, JournalRecord
 
 JOURNAL_HEADER = [
     "id",
@@ -40,6 +42,10 @@ FIXTURE_HEADER = [
 ]
 
 T = TypeVar("T")
+
+# Every count lies below the int64 bound; summed over journals it keeps every
+# IF, AIF and CNIF ratio a finite float.
+COUNT_LIMIT = 2**63
 
 _EDITIONS = {
     "science": Edition.SCIENCE,
@@ -122,21 +128,38 @@ def _parse_count(value: str, column: str, line: int) -> int:
         raise ParseError(line, f"non-integer count in {column}: {value!r}") from None
     if n < 0:
         raise ParseError(line, f"negative count in {column}: {n}")
+    if n >= COUNT_LIMIT:
+        raise ParseError(line, f"count in {column} is 2**63 or more")
     return n
 
 
 def parse_journals_csv(stream: IO[str], strict: bool = True) -> Dataset:
-    """Parse the journal-level CSV schema into a validated Dataset.
+    """Parse the journal-level CSV schema into a validated, columnar Dataset.
 
     One streaming pass checks each record as it is read and raises a
     structural error at once.  ``strict`` adds ``validate``'s two cross-field
     rules; the first record breaking one is raised after the last row, so
     structural errors anywhere come first.
     """
-    journals = []
+    values, members = _journal_values(stream, strict)
+    # Split into columns after the pass has freed its id set, so memory peaks
+    # lower.  One flat list, not a tuple per row: the tuple free list would
+    # keep 2,000 freed row tuples for the life of the process.
+    n = len(FIELDS)
+    columns = {name: tuple(values[k::n]) for k, name in enumerate(FIELDS)}
+    return Dataset._from_columns(columns, members)
+
+
+def _journal_values(stream: IO[str], strict: bool) -> tuple[list, dict[str, list[int]]]:
+    """The fields of each checked row of a journal CSV, row after row in one
+    list, and each code's member rows."""
+    values: list = []
+    members: defaultdict[str, list[int]] = defaultdict(list)
     seen: set[str] = set()
+    # rows listing the same codes share one tuple, and all tuples one string per code
+    category_sets: dict[str, tuple[str, ...]] = {}
     violation = None
-    for line, row in _records(stream, JOURNAL_HEADER):
+    for row_index, (line, row) in enumerate(_records(stream, JOURNAL_HEADER)):
         if len(row) != len(JOURNAL_HEADER):
             raise ParseError(line, f"expected {len(JOURNAL_HEADER)} fields, got {len(row)}")
         jid, name, cats, t, t1, t2, cited, rt, rj, rjw = row
@@ -145,19 +168,23 @@ def parse_journals_csv(stream: IO[str], strict: bool = True) -> Dataset:
         if jid in seen:
             raise ParseError(line, f"duplicate journal id: {jid}")
         seen.add(jid)
-        categories = cats.split(";")
-        if "" in categories:
-            categories = [c for c in categories if c]
-            if not categories:
-                raise ParseError(line, f"journal {jid}: empty category list")
-        if len(categories) > 1 and len(set(categories)) != len(categories):
-            raise ParseError(line, f"journal {jid}: duplicate category codes")
+        codes = category_sets.get(cats)
+        if codes is None:
+            codes = cats.split(";")
+            if "" in codes:
+                codes = [c for c in codes if c]
+                if not codes:
+                    raise ParseError(line, f"journal {jid}: empty category list")
+            if len(codes) > 1 and len(set(codes)) != len(codes):
+                raise ParseError(line, f"journal {jid}: duplicate category codes")
+            codes = category_sets[cats] = tuple(map(sys.intern, codes))
         try:
             t, t1, t2, cited = int(t), int(t1), int(t2), int(cited)
             rt = int(rt) if rt else None
             rj = int(rj) if rj else None
             rjw = int(rjw) if rjw else None
-            valid = (t | t1 | t2 | cited | (rt or 0) | (rj or 0) | (rjw or 0)) >= 0
+            # an or of ints is negative if one is, else as long as the longest
+            valid = 0 <= (t | t1 | t2 | cited | (rt or 0) | (rj or 0) | (rjw or 0)) < COUNT_LIMIT
         except ValueError:
             valid = False
         if not valid:  # raise the first bad column's message
@@ -169,10 +196,12 @@ def parse_journals_csv(stream: IO[str], strict: bool = True) -> Dataset:
                 violation = ParseError(line, f"journal {jid}: refs_jcr exceeds refs_total")
             elif rjw is not None and rjw > rj:
                 violation = ParseError(line, f"journal {jid}: refs_jcr_in_window exceeds refs_jcr")
-        journals.append(JournalRecord(jid, name, categories, t, t1, t2, cited, rt, rj, rjw))
+        values += jid, name, codes, t, t1, t2, cited, rt, rj, rjw
+        for code in codes:
+            members[code].append(row_index)
     if violation is not None:
         raise violation
-    return Dataset(tuple(journals))
+    return values, dict(members)
 
 
 def read_csv(path: str, parse: Callable[..., T], **kwargs) -> T:

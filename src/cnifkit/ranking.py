@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
-from .core_model import Dataset, JournalRecord
-from .indicators import cnif, impact_factor
+from .core_model import Dataset
+# the benchmark tracer in perfbench/ patches ``ranking.cnif``, so the name stays bound
+from .indicators import cnif, row_cnif, row_impact_factor  # noqa: F401
 
 SCORERS = ("if", "cnif")
 
@@ -38,20 +40,22 @@ class GapSummary:
     fraction_reduced: float
 
 
-def score_function(dataset: Dataset, name: str) -> Callable[[JournalRecord], float]:
-    """The score function behind ``rank_category``'s ``scorer`` name; the CNIF
-    scores of multi-category journals are kept, so each is computed once."""
+def score_function(dataset: Dataset, name: str) -> Callable[[int], float]:
+    """The score of a journal's row under ``rank_category``'s ``scorer`` name;
+    the CNIF scores of multi-category journals are kept by row, so each is
+    computed once."""
     if name == "if":
-        return impact_factor
+        return partial(row_impact_factor, dataset)
     if name == "cnif":
+        categories = dataset.columns["categories"]
         scores = dataset._cache.setdefault("cnif", {})
 
-        def cnif_score(j: JournalRecord) -> float:
-            if len(j.categories) == 1:
-                return cnif(j, dataset).cnif
-            s = scores.get(j)
+        def cnif_score(row: int) -> float:
+            if len(categories[row]) == 1:
+                return row_cnif(dataset, row).cnif
+            s = scores.get(row)
             if s is None:
-                s = scores[j] = cnif(j, dataset).cnif
+                s = scores[row] = row_cnif(dataset, row).cnif
             return s
 
         return cnif_score
@@ -64,9 +68,10 @@ def rank_category(dataset: Dataset, category: str, scorer: str = "if") -> list[R
     Tied scores share the smallest rank of their block ("1,1,3"), and the
     percentile is rank over category size times 100, so lower is better.
     """
-    members = dataset.members(category)
+    rows = dataset.member_rows(category)
     score = score_function(dataset, scorer)
-    scored = sorted(((score(j), j.id) for j in members), key=lambda t: (-t[0], t[1]))
+    ids = dataset.columns["id"]
+    scored = sorted(((score(i), ids[i]) for i in rows), key=lambda t: (-t[0], t[1]))
     n = len(scored)
     out = []
     rank = 1
@@ -100,22 +105,23 @@ def compare_gaps(
 ) -> tuple[GapSummary, list[GapReport]]:
     """Per-journal gap under IF and CNIF plus a summary over the filter.
 
-    ``fraction_reduced`` counts strict decreases of the gap only.
+    ``fraction_reduced`` counts strict decreases of the gap only.  The reports
+    come in ascending journal id order; the ``gap`` command relies on it.
     """
     codes = dataset.category_codes()
     by_if = _percentile_map(dataset, "if", codes)
     by_cnif = _percentile_map(dataset, "cnif", codes)
     reports = []
-    for j in sorted(dataset.journals, key=lambda j: j.id):
-        pcts_if = by_if.get(j.id, {})
+    for jid in sorted(dataset.columns["id"]):
+        pcts_if = by_if.get(jid, {})
         if not pcts_if:
             continue
         if multi_category_only and len(pcts_if) < 2:
             continue
-        pcts_cnif = by_cnif[j.id]
+        pcts_cnif = by_cnif[jid]
         reports.append(
             GapReport(
-                journal_id=j.id,
+                journal_id=jid,
                 percentiles_if=pcts_if,
                 percentiles_cnif=pcts_cnif,
                 gap_if=max(pcts_if.values()) - min(pcts_if.values()),

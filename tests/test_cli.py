@@ -148,6 +148,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["validate"], ["cnif"], ["indicators"], ["gap"]])
+    def test_count_of_2_63_or_more_is_usage_error(self, command, tmp_path, capsys):
+        # a 400-digit count once passed validate and overflowed IF and AIF
+        path = tmp_path / "journals.csv"
+        path.write_text(SAMPLE.replace("j3,Gamma,B,6,7,8,90,", "j3,Gamma,B,6,7,8," + "9" * 400 + ","))
+        out = tmp_path / "out.csv"
+        assert main(command + ["--input", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: line 4: count in cited_in_window is 2**63 or more\n"
+        assert not out.exists()
+        path.write_text(SAMPLE.replace("j3,Gamma,B,6,7,8,90,", f"j3,Gamma,B,6,7,8,{2**63 - 1},"))
+        assert main(command + ["--input", str(path), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("command", [["decompose"], ["reproduce-table1"]])
+    def test_fixture_count_of_2_63_or_more_is_usage_error(self, command, tmp_path, capsys):
+        text = Path(bundled_fixture_path()).read_text(encoding="utf-8")
+        s5 = "\nS5,\"AGR, MULTIDISCIPL\",science,140735,193124,15625,"
+        assert s5 in text
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_text(text.replace(s5, s5[:-6] + "9" * 400 + ","), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(command + ["--fixture", str(fixture), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: line 6: count in ncited is 2**63 or more\n"
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")  # an overflow warning fails the test
     def test_overflowing_correlation_is_data_error(self, tmp_path, capsys):
         # each sd is finite (about 7e98), but their product of sums of squares is not

@@ -1,10 +1,12 @@
 """The category table behind cnif(), the CNIF scorer's memo and Dataset.members().
 
 The uncached compositions of jcr_aggregate, meta_category_aggregate and
-impact_factor are the oracles.  The complexity guard counts table builds,
-aggregate calls and CNIF computations through the CLI; it uses no clocks.
+impact_factor are the oracles; score and CNIF are their exact rationals,
+rounded once.  The complexity guard counts table builds, aggregate calls and
+CNIF computations through the CLI; it uses no clocks.
 """
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from cnifkit.indicators import (
     impact_factor,
     jcr_aggregate,
     meta_category_aggregate,
+    row_cnif,
 )
 
 from conftest import make_dataset, make_journal
@@ -45,10 +48,13 @@ def random_dataset(rnd, n):
     return make_dataset(journals)
 
 
+def exact_aif(agg):
+    return Fraction(agg.ncited, agg.items_window)
+
+
 def uncached_cnif(ds, j):
-    jcr_aif = aggregate_impact_factor(jcr_aggregate(ds))
-    meta_aif = aggregate_impact_factor(meta_category_aggregate(ds, j.categories))
-    return jcr_aif / meta_aif * impact_factor(j)
+    score = exact_aif(jcr_aggregate(ds)) / exact_aif(meta_category_aggregate(ds, j.categories))
+    return float(score * Fraction(j.cited_in_window, j.items_window))
 
 
 def scan_members(ds, code):
@@ -87,8 +93,8 @@ def uncached_score(ds, j):
         raise UndefinedIndicatorError(
             f"journal {j.id}: zero meta-category AIF, normalization undefined"
         )
-    score = jcr_aif / meta_aif
-    return if_value, meta_aif, jcr_aif, score, score * if_value
+    score = exact_aif(jcr_aggregate(ds)) / exact_aif(meta_category_aggregate(ds, j.categories))
+    return if_value, meta_aif, jcr_aif, float(score), uncached_cnif(ds, j)
 
 
 def degenerate_dataset(rnd, n):
@@ -210,14 +216,14 @@ def test_one_table_build_and_one_cnif_per_journal(command, tmp_path, monkeypatch
             return fn(*args)
         return wrapped
 
-    def counting_cnif(journal, dataset):
-        scored[journal.id] += 1
-        return cnif(journal, dataset)
+    def counting_cnif(dataset, row):
+        scored[dataset.columns["id"][row]] += 1
+        return row_cnif(dataset, row)
 
     for name in ("jcr_aggregate", "meta_category_aggregate", "_category_table"):
         monkeypatch.setattr(indicators, name, counting(name, getattr(indicators, name)))
-    monkeypatch.setattr(indicators, "cnif", counting_cnif)
-    monkeypatch.setattr(ranking, "cnif", counting_cnif)
+    monkeypatch.setattr(indicators, "row_cnif", counting_cnif)
+    monkeypatch.setattr(ranking, "row_cnif", counting_cnif)
     path = write_csv(tmp_path, GUARD_ROWS)
     assert main(command + ["--input", path, "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == Counter({"_category_table": 1})

@@ -3,20 +3,24 @@ import json
 import math
 import os
 import random
+import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cnifkit.core_model import (
     CategoryAggregate,
     ComponentVector,
+    JournalRecord,
     UndefinedIndicatorError,
 )
 from cnifkit import indicators
 from cnifkit.cli import main
 from cnifkit.ingest import emit_journals_csv
+from cnifkit.ranking import rank_category
 from cnifkit.indicators import (
     aggregate_impact_factor,
     category_aggregate,
@@ -33,6 +37,16 @@ from cnifkit.indicators import (
 )
 
 from conftest import make_dataset, make_journal, random_journal
+
+
+def exact_scores(ds, j):
+    """IF, union AIF, whole-database AIF, score and CNIF as exact rationals."""
+    def aif(agg):
+        return Fraction(agg.ncited, agg.items_window)
+
+    jcr, meta = aif(jcr_aggregate(ds)), aif(meta_category_aggregate(ds, j.categories))
+    if_value = Fraction(j.cited_in_window, j.items_window)
+    return if_value, meta, jcr, jcr / meta, jcr / meta * if_value
 
 
 def agg(code="X", **kw):
@@ -312,12 +326,65 @@ class TestCnif:
             assert score.cnif > score.if_value
 
     def test_cnif_identity_holds_exactly(self):
+        # cnif is score times IF as exact rationals, rounded once
         rng = random.Random(3)
         journals = [random_journal(rng, f"j{i}", ["A", "B"][: rng.randint(1, 2)]) for i in range(8)]
         ds = make_dataset(journals)
         for j in journals:
             s = cnif(j, ds)
-            assert s.cnif == s.score * s.if_value
+            assert s.cnif == float(exact_scores(ds, j)[4])
+            assert math.isclose(s.cnif, s.score * s.if_value, rel_tol=4 * sys.float_info.epsilon)
+
+    def test_equal_rational_cnifs_tie(self):
+        # j0 and j1 both have CNIF exactly 3/2; rounding the AIFs, the score and
+        # the product one by one gave 1.4999999999999998 and 1.5, ranks 2 and 1
+        journals = [
+            make_journal("j0", ["A"], 6, 0, 11, items_t=1),
+            make_journal("j1", ["A", "B"], 2, 0, 3, items_t=1),
+            make_journal("j2", ["B"], 2, 0, 0, items_t=1),
+            make_journal("j3", ["A"], 1, 0, 1, items_t=1),
+        ]
+        ds = make_dataset(journals)
+        assert [(e.journal_id, e.score, e.rank) for e in rank_category(ds, "A", "cnif")] == [
+            ("j0", 1.5, 1),
+            ("j1", 1.5, 1),
+            ("j3", 9 / 11, 3),
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_value_is_its_exact_rational_rounded_once(self, data):
+        # small counts make equal rationals common
+        journals = [
+            make_journal(
+                f"j{i}",
+                data.draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True)),
+                data.draw(st.integers(1, 6)),
+                data.draw(st.integers(0, 2)),
+                data.draw(st.integers(0, 11)),
+            )
+            for i in range(data.draw(st.integers(1, 8)))
+        ]
+        ds = make_dataset(journals)
+        exact = {}
+        for j in journals:
+            # a zero union AIF leaves the score undefined
+            assume(meta_category_aggregate(ds, j.categories).ncited > 0)
+            values = exact_scores(ds, j)
+            s = cnif(j, ds)
+            assert (s.if_value, s.meta_aif, s.jcr_aif, s.score, s.cnif) == tuple(map(float, values))
+            exact[j.id] = values[4]
+        for code in ds.category_codes():
+            entries = rank_category(ds, code, "cnif")
+            for a in entries:
+                assert a.rank == 1 + sum(exact[b.journal_id] > exact[a.journal_id] for b in entries)
+
+    def test_journal_without_category_is_named_as_cause(self):
+        ds = make_dataset([JournalRecord("j1", "J", (), 1, 1, 1, 1)])
+        with pytest.raises(
+            UndefinedIndicatorError, match="^journal j1: lists no category, CNIF undefined$"
+        ):
+            cnif(ds.journals[0], ds)
 
     def test_order_preserved_within_category_set(self):
         rng = random.Random(5)

@@ -1,9 +1,10 @@
 """The streaming journal parser against the two-pass parser it replaced.
 
-``oracle_parse_journals_csv`` is the earlier parser, kept verbatim as the
-reference: it reads every row first, converts each count through
-``_parse_count`` and, in strict mode, runs ``validate`` over the parsed
-dataset.  On input without embedded newlines the streaming parser must give
+``oracle_parse_journals_csv`` is the earlier parser, kept as the reference
+with one rule added (a count of 2**63 or more is a ParseError): it reads
+every row first, builds one ``JournalRecord`` per row, converts each count
+through ``_parse_count`` and, in strict mode, runs ``validate`` over the
+parsed dataset.  On input without embedded newlines the streaming parser must give
 an equal dataset, or the same first ParseError line and message.
 """
 import copy
@@ -38,6 +39,8 @@ def _oracle_count(value: str, column: str, line: int) -> int:
         raise ParseError(line, f"non-integer count in {column}: {value!r}") from None
     if n < 0:
         raise ParseError(line, f"negative count in {column}: {n}")
+    if n >= 2**63:
+        raise ParseError(line, f"count in {column} is 2**63 or more")
     return n
 
 
@@ -94,8 +97,10 @@ def oracle_parse_journals_csv(stream, strict: bool = True) -> Dataset:
     return dataset
 
 
-# count cells int() rejects, negatives, and forms int() accepts as written
+# count cells int() rejects, negatives, forms int() accepts as written, and
+# counts at the 2**63 bound
 ODD_COUNTS = ["x", "", "-3", "-12", "1.5", "-0", " 4", "+2", "1_000", "٣"]
+ODD_COUNTS += [str(2**63 - 1), str(2**63), "9" * 400]
 BAD_CATEGORIES = ["", ";", ";;", "A;A", "A;;B", ";A;", "B;A;B", "A;B;;A"]
 
 
@@ -173,6 +178,9 @@ def test_stream_parser_matches_oracle(rows, strict, newline, stream):
     if isinstance(want, Dataset):
         assert [hash(j) for j in got.journals] == [hash(j) for j in want.journals]
         assert all(type(j.categories) is tuple for j in got.journals)
+        assert got == Dataset(got.journals)  # the columns hold each record's fields
+        for code in got.category_codes():
+            assert got.members(code) == [j for j in got.journals if code in j.categories]
 
 
 @pytest.mark.parametrize("strict", [True, False])
