@@ -332,12 +332,12 @@ class Command:
     name: str  # "stats corr" is the subcommand corr of stats
     rows: Callable[[argparse.Namespace], Outputs]
     source: str = "--fixture"  # or "--input", which is then required
-    digits: int = 3  # default --digits
     extra: tuple[str, ...] = ()  # flags of ARGUMENTS
     fmt: Optional[str] = None  # the only --format the command writes
 
 
 ARGUMENTS = {
+    "--digits": {"type": _digits, "default": 3},
     "--input": {"help": "journal-level CSV (overrides --fixture)"},
     "--edition": {"choices": ("science", "social", "all"), "default": "all"},
     "--scorer": {"choices": ranking.SCORERS, "default": "if"},
@@ -349,19 +349,19 @@ ARGUMENTS = {
 
 COMMANDS = (
     Command("validate", _validate_rows, "--input"),
-    Command("indicators", _indicator_rows, "--input"),
-    Command("decompose", _decompose_rows, extra=("--input", "--edition")),
-    Command("cnif", _cnif_rows, "--input"),
-    Command("rank", _rank_rows, "--input", extra=("--scorer",)),
-    Command("gap", _gap_rows, "--input"),
-    Command("stats corr", _corr_rows, extra=("--edition",)),
+    Command("indicators", _indicator_rows, "--input", extra=("--digits",)),
+    Command("decompose", _decompose_rows, extra=("--input", "--edition", "--digits")),
+    Command("cnif", _cnif_rows, "--input", extra=("--digits",)),
+    Command("rank", _rank_rows, "--input", extra=("--scorer", "--digits")),
+    Command("gap", _gap_rows, "--input", extra=("--digits",)),
+    Command("stats corr", _corr_rows, extra=("--edition", "--digits")),
     Command("stats pca", _pca_rows, extra=("--edition",), fmt="json"),
-    Command("stats ks", _ks_rows, extra=("--edition", "--alpha", "--lilliefors")),
-    Command("stats hist", _hist_rows, extra=("--edition",)),
+    Command("stats ks", _ks_rows, extra=("--edition", "--alpha", "--lilliefors", "--digits")),
+    Command("stats hist", _hist_rows, extra=("--edition", "--digits")),
     Command("stats cluster", _cluster_rows, extra=("--edition", "--k", "--height")),
-    Command("reproduce-table1", _table1_rows, digits=2),
-    Command("reproduce-table3", _table3_rows, digits=2),
-    Command("reproduce-table4", _table4_rows, digits=2),
+    Command("reproduce-table1", _table1_rows),
+    Command("reproduce-table3", _table3_rows),
+    Command("reproduce-table4", _table4_rows),
 )
 
 
@@ -382,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default: stdout)")
         formats = (command.fmt,) if command.fmt else ("csv", "json")
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--digits", type=_digits, default=command.digits)
         for flag in command.extra:
             p.add_argument(flag, **ARGUMENTS[flag])
         p.set_defaults(run=command)

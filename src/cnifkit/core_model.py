@@ -9,7 +9,6 @@ from typing import Iterable, Optional
 class Edition(Enum):
     SCIENCE = "science"
     SOCIAL_SCIENCE = "social"
-    UNION = "union"
 
 
 class UndefinedIndicatorError(ValueError):

@@ -47,11 +47,7 @@ T = TypeVar("T")
 # IF, AIF and CNIF ratio a finite float.
 COUNT_LIMIT = 2**63
 
-_EDITIONS = {
-    "science": Edition.SCIENCE,
-    "social": Edition.SOCIAL_SCIENCE,
-    "union": Edition.UNION,
-}
+_EDITIONS = {"science": Edition.SCIENCE, "social": Edition.SOCIAL_SCIENCE}
 
 
 class ParseError(ValueError):

@@ -24,8 +24,6 @@ class RankingEntry:
 @dataclass(frozen=True)
 class GapReport:
     journal_id: str
-    percentiles_if: dict[str, float]
-    percentiles_cnif: dict[str, float]
     gap_if: float
     gap_cnif: float
 
@@ -90,44 +88,26 @@ def gap(journal_id: str, rankings: Iterable[list[RankingEntry]]) -> float:
     return max(pcts) - min(pcts)
 
 
-def _percentile_map(
-    dataset: Dataset, scorer: str, categories: list[str]
-) -> dict[str, dict[str, float]]:
-    out: dict[str, dict[str, float]] = {}
-    for code in categories:
+def _journal_gaps(dataset: Dataset, scorer: str) -> dict[str, float]:
+    """Each ranked journal's gap under the scorer, keyed by journal id."""
+    pcts: dict[str, list[float]] = {}
+    for code in dataset.category_codes():
         for e in rank_category(dataset, code, scorer):
-            out.setdefault(e.journal_id, {})[code] = e.percentile
-    return out
+            pcts.setdefault(e.journal_id, []).append(e.percentile)
+    return {jid: max(p) - min(p) for jid, p in pcts.items()}
 
 
-def compare_gaps(
-    dataset: Dataset, multi_category_only: bool = True
-) -> tuple[GapSummary, list[GapReport]]:
-    """Per-journal gap under IF and CNIF plus a summary over the filter.
+def compare_gaps(dataset: Dataset) -> tuple[GapSummary, list[GapReport]]:
+    """Gap under IF and CNIF of each multi-category journal, plus a summary.
 
     ``fraction_reduced`` counts strict decreases of the gap only.  The reports
     come in ascending journal id order; the ``gap`` command relies on it.
     """
-    codes = dataset.category_codes()
-    by_if = _percentile_map(dataset, "if", codes)
-    by_cnif = _percentile_map(dataset, "cnif", codes)
-    reports = []
-    for jid in sorted(dataset.columns["id"]):
-        pcts_if = by_if.get(jid, {})
-        if not pcts_if:
-            continue
-        if multi_category_only and len(pcts_if) < 2:
-            continue
-        pcts_cnif = by_cnif[jid]
-        reports.append(
-            GapReport(
-                journal_id=jid,
-                percentiles_if=pcts_if,
-                percentiles_cnif=pcts_cnif,
-                gap_if=max(pcts_if.values()) - min(pcts_if.values()),
-                gap_cnif=max(pcts_cnif.values()) - min(pcts_cnif.values()),
-            )
-        )
+    by_if = _journal_gaps(dataset, "if")
+    by_cnif = _journal_gaps(dataset, "cnif")
+    ids, categories = dataset.columns["id"], dataset.columns["categories"]
+    multi = sorted(jid for jid, cats in zip(ids, categories) if len(cats) > 1)
+    reports = [GapReport(jid, by_if[jid], by_cnif[jid]) for jid in multi]
     if reports:
         gaps_if = [r.gap_if for r in reports]
         gaps_cnif = [r.gap_cnif for r in reports]

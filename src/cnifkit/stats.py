@@ -122,8 +122,11 @@ def correlation_matrix(columns: dict[str, Sequence[Optional[float]]]) -> Matrix:
     return Matrix(labels, out)
 
 
-def symmetric_eigendecomposition(m: Matrix, tol: float = 1e-12) -> EigenResult:
-    """Cyclic Jacobi rotations until the off-diagonal norm drops below tol."""
+_JACOBI_TOL = 1e-12
+
+
+def symmetric_eigendecomposition(m: Matrix) -> EigenResult:
+    """Cyclic Jacobi rotations until the off-diagonal norm drops below _JACOBI_TOL."""
     a = np.array(m.values, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or np.max(np.abs(a - a.T)) > 1e-9:
@@ -132,12 +135,12 @@ def symmetric_eigendecomposition(m: Matrix, tol: float = 1e-12) -> EigenResult:
     v = np.eye(n)
     for _ in range(100):
         off = math.sqrt(max(0.0, float(np.sum(a**2) - np.sum(np.diag(a) ** 2))))
-        if off < tol:
+        if off < _JACOBI_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
-                if abs(apq) < tol / (n * n):
+                if abs(apq) < _JACOBI_TOL / (n * n):
                     continue
                 theta = (a[q, q] - a[p, p]) / (2 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1))

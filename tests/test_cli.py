@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnifkit.cli import main, round_away
+from cnifkit.cli import COMMANDS, main, round_away
 from cnifkit.reference import TABLE4_DIVERGENT_CELLS, bundled_fixture_path
 
 HEADER = "id,name,categories,items_t,items_t1,items_t2,cited_in_window,refs_total,refs_jcr,refs_jcr_in_window"
@@ -76,6 +76,21 @@ class TestExitCodes:
     def test_zero_digits_accepted(self, sample_csv, capsys):
         assert main(["cnif", "--input", sample_csv, "--digits", "0"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "j1,2,2,2,1,2"
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c.name)
+    def test_digits_only_where_it_formats(self, command, sample_csv, tmp_path, capsys):
+        argv = command.name.split() + (["--input", sample_csv] if command.source == "--input" else [])
+        out = tmp_path / "out"
+        if "--digits" in command.extra:
+            written = []
+            for digits in ("0", "5"):
+                assert main(argv + ["--digits", digits, "--out", str(out)]) == 0
+                written.append(out.read_bytes())
+            assert written[0] != written[1]
+        else:  # the command prints fixed precisions, so it refuses the flag
+            assert main(argv + ["--digits", "3", "--out", str(out)]) == 2
+            assert "unrecognized arguments: --digits 3" in capsys.readouterr().err
+            assert list(tmp_path.glob("out*")) == []
 
     @staticmethod
     def run_module(module):

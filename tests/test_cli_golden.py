@@ -73,7 +73,6 @@ def _fixture_cases():
     yield "stats-ks-alpha", ["stats", "ks", "--alpha", "0.01", "--digits", "5"], 0
     yield "stats-hist-digits0", ["stats", "hist", "--edition", "social", "--digits", "0"], 0
     yield "stats-cluster-height", ["stats", "cluster", "--edition", "science", "--height", "40"], 0
-    yield "reproduce-table1-digits5", ["reproduce-table1", "--digits", "5"], 0
 
 
 CASES = {name: (argv, code) for name, argv, code in (*_input_cases(), *_fixture_cases())}
@@ -188,9 +187,6 @@ EXPECTED = {
         "": "702a9cb3142c23b3af617a411687ecc34bb054d187fba2ae88811d3615d7eeab",
     },
     "reproduce-table1-csv": {
-        "": "fb5c2ccc20c50e1af74b5f5eb58a46c8a39ec497cf8069ad120e092d7ef98555",
-    },
-    "reproduce-table1-digits5": {
         "": "fb5c2ccc20c50e1af74b5f5eb58a46c8a39ec497cf8069ad120e092d7ef98555",
     },
     "reproduce-table1-json": {

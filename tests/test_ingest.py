@@ -10,8 +10,10 @@ from cnifkit.ingest import (
     ParseError,
     dumps_report,
     emit_journals_csv,
+    parse_category_fixture_csv,
     parse_journals_csv,
 )
+from cnifkit.reference import bundled_fixture_path
 
 from conftest import make_dataset, random_journal
 
@@ -86,6 +88,15 @@ def test_fixture_has_230_rows(fixture_rows):
     assert len(fixture_rows) == 230
     assert sum(1 for r in fixture_rows if r.edition == Edition.SCIENCE) == 174
     assert sum(1 for r in fixture_rows if r.edition == Edition.SOCIAL_SCIENCE) == 56
+
+
+def test_fixture_edition_is_science_or_social():
+    with open(bundled_fixture_path(), encoding="utf-8") as f:
+        header, first, second = f.readlines()[:3]
+    text = header + first + second.replace(",science,", ",union,")
+    with pytest.raises(ParseError) as exc:
+        parse_category_fixture_csv(io.StringIO(text))
+    assert str(exc.value) == "line 3: unknown edition: 'union'"
 
 
 def test_fixture_anchor_rows(fixture_by_code):

@@ -126,13 +126,11 @@ class TestCompareGaps:
                 make_journal("j1", ["A", "B"], 1, 0, 5),
                 make_journal("j2", ["A"], 1, 0, 3),
                 make_journal("j3", ["B"], 1, 0, 4),
+                make_journal("j4", [], 1, 0, 2),  # in no category, so in no ranking
             ]
         )
         summary, reports = compare_gaps(ds)
         assert [r.journal_id for r in reports] == ["j1"]
-        summary_all, reports_all = compare_gaps(ds, multi_category_only=False)
-        assert [r.journal_id for r in reports_all] == ["j1", "j2", "j3"]
-        assert all(r.gap_if == 0.0 for r in reports_all[1:])
 
     def test_normalization_can_close_gap(self):
         # j1 leads the weak category A but trails in the strong category B

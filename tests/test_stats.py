@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cnifkit.cli import component_columns, edition_rows
@@ -307,7 +307,8 @@ class TestWard:
         expected = pair_scan_ward(labels, points, standardize=False)
         assert ward_cluster(labels, points, standardize=False) == expected
 
-    @settings(max_examples=150, deadline=None)
+    # no shrink phase: shrinking examples of up to 120 points delays a failure by minutes
+    @settings(max_examples=150, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
     @given(st.booleans().flatmap(lambda distinct: grid_points(distinct, max_n=120)), st.booleans())
     def test_bit_identical_to_dense_matrix(self, case, standardize):
         # up to 120 points on a 4-point grid: many rows tie at each merge
