@@ -365,6 +365,19 @@ COMMANDS = (
 )
 
 
+def _add_arguments(parser: argparse.ArgumentParser, command: Command) -> None:
+    if command.source == "--input":
+        parser.add_argument("--input", required=True, help="journal-level CSV")
+    else:
+        parser.add_argument("--fixture", help="category fixture CSV (default: bundled table)")
+    parser.add_argument("--out", help="output path (default: stdout)")
+    formats = (command.fmt,) if command.fmt else ("csv", "json")
+    parser.add_argument("--format", choices=formats, default=formats[0])
+    for flag in command.extra:
+        parser.add_argument(flag, **ARGUMENTS[flag])
+    parser.set_defaults(run=command)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cnifkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -374,23 +387,32 @@ def build_parser() -> argparse.ArgumentParser:
         if group not in groups:
             parent = sub.add_parser(group)
             groups[group] = parent.add_subparsers(dest=f"{group}_command", required=True)
-        p = groups[group].add_parser(leaf)
-        if command.source == "--input":
-            p.add_argument("--input", required=True, help="journal-level CSV")
-        else:
-            p.add_argument("--fixture", help="category fixture CSV (default: bundled table)")
-        p.add_argument("--out", help="output path (default: stdout)")
-        formats = (command.fmt,) if command.fmt else ("csv", "json")
-        p.add_argument("--format", choices=formats, default=formats[0])
-        for flag in command.extra:
-            p.add_argument(flag, **ARGUMENTS[flag])
-        p.set_defaults(run=command)
+        _add_arguments(groups[group].add_parser(leaf), command)
     return parser
+
+
+def parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the named command's
+    parser when that parser takes all of argv.  Otherwise the full tree parses
+    argv, so a missing or unknown command and unrecognized arguments print its
+    usage and error text."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for command in COMMANDS:
+        words = command.name.split()
+        if argv[: len(words)] == words:
+            # the full tree hands a command's parser exactly these arguments
+            parser = argparse.ArgumentParser(prog=f"cnifkit {command.name}")
+            _add_arguments(parser, command)
+            args, rest = parser.parse_known_args(argv[len(words) :])
+            if not rest:
+                return args
+            break
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     written = []

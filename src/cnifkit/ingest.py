@@ -7,8 +7,7 @@ import json
 import math
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import IO, Callable, Iterator, Optional, Sequence, TypeVar
+from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .core_model import FIELDS, Dataset, Edition, JournalRecord
 
@@ -56,15 +55,7 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class CategoryFixtureRow:
-    """One category row of the published reference table.
-
-    Raw counts are exact integers; ``printed_*`` carry the table's rounded
-    values and are ``None`` where the table shows "-".  They are kept for
-    golden comparisons only and never fed back into arithmetic.
-    """
-
+class _FixtureFields(NamedTuple):
     code: str
     name: str
     edition: Edition
@@ -79,7 +70,21 @@ class CategoryFixtureRow:
     printed_b: Optional[float] = None
     printed_aif: Optional[float] = None
 
-    def __post_init__(self):
+
+class CategoryFixtureRow(_FixtureFields):
+    """One category row of the published reference table, as a named tuple.
+
+    Raw counts are exact integers; ``printed_*`` carry the table's rounded
+    values and are ``None`` where the table shows "-".  They are kept for
+    golden comparisons only and never fed back into arithmetic.  The
+    constructor checks that counts are non-negative and that p and w lie in
+    [0,1]; ``_make`` and ``_replace`` check nothing.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("refs_jcr", "refs_total", "ncited", "nciting"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{self.code}: negative count {name}")
@@ -87,15 +92,10 @@ class CategoryFixtureRow:
             v = getattr(self, name)
             if v is not None and not (0.0 <= v <= 1.0):
                 raise ValueError(f"{self.code}: {name} outside [0,1]")
+        return self
 
     def is_complete(self) -> bool:
-        return None not in (
-            self.printed_a,
-            self.printed_r,
-            self.printed_p,
-            self.printed_w,
-            self.printed_b,
-        )
+        return None not in self[7:12]  # printed a, r, p, w and b
 
 
 def _records(stream: IO[str], header: list[str]) -> Iterator[tuple[int, list[str]]]:
@@ -238,36 +238,40 @@ def parse_category_fixture_csv(stream: IO[str]) -> list[CategoryFixtureRow]:
     """Parse the category-level fixture schema; "-" marks absent printed values."""
     out = []
     seen: set[str] = set()
-    for offset, row in _records(stream, FIXTURE_HEADER):
+    make = CategoryFixtureRow._make  # the checks below are the constructor's
+    for line, row in _records(stream, FIXTURE_HEADER):
         if len(row) != len(FIXTURE_HEADER):
-            raise ParseError(offset, f"expected {len(FIXTURE_HEADER)} fields, got {len(row)}")
-        if row[0] in seen:
-            raise ParseError(offset, f"duplicate category code: {row[0]}")
-        seen.add(row[0])
-        if row[2] not in _EDITIONS:
-            raise ParseError(offset, f"unknown edition: {row[2]!r}")
+            raise ParseError(line, f"expected {len(FIXTURE_HEADER)} fields, got {len(row)}")
+        code, name, edition, rj, rt, ncited, nciting, *printed = row
+        if code in seen:
+            raise ParseError(line, f"duplicate category code: {code}")
+        seen.add(code)
+        edition = _EDITIONS.get(edition)
+        if edition is None:
+            raise ParseError(line, f"unknown edition: {row[2]!r}")
         try:
-            out.append(
-                CategoryFixtureRow(
-                    code=row[0],
-                    name=row[1],
-                    edition=_EDITIONS[row[2]],
-                    refs_jcr=_parse_count(row[3], "refs_jcr", offset),
-                    refs_total=_parse_count(row[4], "refs_total", offset),
-                    ncited=_parse_count(row[5], "ncited", offset),
-                    nciting=_parse_count(row[6], "nciting", offset),
-                    printed_a=_parse_printed(row[7], "a", offset),
-                    printed_r=_parse_printed(row[8], "r", offset),
-                    printed_p=_parse_printed(row[9], "p", offset),
-                    printed_w=_parse_printed(row[10], "w", offset),
-                    printed_b=_parse_printed(row[11], "b", offset),
-                    printed_aif=_parse_printed(row[12], "aif", offset),
-                )
-            )
-        except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(offset, str(exc)) from None
+            rj, rt, ncited, nciting = int(rj), int(rt), int(ncited), int(nciting)
+            # an or of ints is negative if one is, else as long as the longest
+            valid = 0 <= (rj | rt | ncited | nciting) < COUNT_LIMIT
+        except ValueError:
+            valid = False
+        if not valid:  # raise the first bad column's message
+            for i in range(3, 7):
+                _parse_count(row[i], FIXTURE_HEADER[i], line)
+        try:
+            printed = [None if v == "-" else float(v) for v in printed]
+            # None and 0.0 drop out; a nan or an infinity makes the sum non-finite
+            valid = math.isfinite(sum(filter(None, printed)))
+        except ValueError:
+            valid = False
+        if not valid:  # raise the first bad column's message, or the sum overflowed
+            printed = [_parse_printed(row[i], FIXTURE_HEADER[i], line) for i in range(7, 13)]
+        p, w = printed[2], printed[3]
+        if p is not None and not (0.0 <= p <= 1.0):
+            raise ParseError(line, f"{code}: printed_p outside [0,1]")
+        if w is not None and not (0.0 <= w <= 1.0):
+            raise ParseError(line, f"{code}: printed_w outside [0,1]")
+        out.append(make((code, name, edition, rj, rt, ncited, nciting, *printed)))
     return out
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -140,6 +141,29 @@ class TestExitCodes:
         assert main(command + ["--fixture", str(fixture), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: line 6: bad value in a: {value!r}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("column, value", [("p", "1.5"), ("w", "-0.1")])
+    @pytest.mark.parametrize(
+        "command",
+        [c.name.split() for c in COMMANDS if c.source == "--fixture"],
+        ids=" ".join,
+    )
+    def test_printed_share_outside_unit_interval_is_usage_error(
+        self, command, column, value, tmp_path, capsys
+    ):
+        lines = Path(bundled_fixture_path()).read_text(encoding="utf-8").splitlines()
+        header, row = next(csv.reader(lines[:1])), next(csv.reader(lines[5:6]))
+        assert row[0] == "S5"
+        row[header.index(column)] = value
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(row)
+        lines[5] = buf.getvalue()
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(command + ["--fixture", str(fixture), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: line 6: S5: printed_{column} outside [0,1]\n"
+        assert list(tmp_path.glob("out*")) == []
 
     @pytest.mark.filterwarnings("error")  # an overflow warning fails the test
     @pytest.mark.parametrize("value", ["1e200", "1.7e308", "-1.7e308"])
