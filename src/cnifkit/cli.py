@@ -58,6 +58,8 @@ def _digits(value: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {n}")
+    if n > 17:  # no double carries more decimals, and |x| * 10**17 stays finite
+        raise argparse.ArgumentTypeError(f"must be at most 17, got {n}")
     return n
 
 
@@ -75,6 +77,8 @@ def _alpha(value: str) -> float:
     x = _number(value)
     if not 0 < x < 1:
         raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {value}")
+    if x / 2 == 0:  # the KS critical value takes log(alpha / 2)
+        raise argparse.ArgumentTypeError(f"too small: alpha / 2 underflows to 0, got {value}")
     return x
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core_model import (
     COUNT_FIELDS,
@@ -54,34 +54,6 @@ def _impact_factor(journal_id: str, cited: int, items: int) -> float:
             f"journal {journal_id}: no citable items in target window, IF undefined"
         )
     return cited / items
-
-
-def _sum_aggregate(journals: Sequence[JournalRecord], code: str) -> CategoryAggregate:
-    a_t = a_t1 = a_t2 = ncited = 0
-    refs_total = refs_jcr = nciting = 0
-    excluded = 0
-    for j in journals:
-        a_t += j.items_t
-        a_t1 += j.items_t1
-        a_t2 += j.items_t2
-        ncited += j.cited_in_window
-        if j.has_reference_fields():
-            refs_total += j.refs_total
-            refs_jcr += j.refs_jcr
-            nciting += j.refs_jcr_in_window
-        else:
-            excluded += 1
-    return CategoryAggregate(
-        code=code,
-        a_t=a_t,
-        a_t1=a_t1,
-        a_t2=a_t2,
-        refs_total=refs_total,
-        refs_jcr=refs_jcr,
-        ncited=ncited,
-        nciting=nciting,
-        reference_exclusions=excluded,
-    )
 
 
 def category_aggregate(dataset: Dataset, code: str) -> CategoryAggregate:
@@ -166,21 +138,27 @@ def recompose(cv: ComponentVector) -> float:
 def meta_category_aggregate(dataset: Dataset, codes: Iterable[str]) -> CategoryAggregate:
     """Aggregate over the union of the member sets, each journal counted once."""
     codes = list(codes)
-    seen: set[str] = set()
-    union: list[JournalRecord] = []
+    rows: set[int] = set()
     for code in codes:
-        for j in dataset.members(code):
-            if j.id not in seen:
-                seen.add(j.id)
-                union.append(j)
-    return _sum_aggregate(union, "+".join(sorted(codes)))
+        rows.update(dataset.member_rows(code))
+    return _row_sum(dataset, sorted(rows), "+".join(sorted(codes)))
 
 
 def jcr_aggregate(dataset: Dataset) -> CategoryAggregate:
     """Whole-database aggregate over every journal."""
-    if not dataset.journals:
+    if not dataset.columns["id"]:
         raise UndefinedIndicatorError("empty dataset has no whole-database aggregate")
-    return _sum_aggregate(dataset.journals, "JCR")
+    return _table(dataset)[1]
+
+
+def _row_sum(dataset: Dataset, rows: list[int], code: str) -> CategoryAggregate:
+    """Fieldwise sums of the journals at ``rows``, read from the columns."""
+    counts = (dataset.columns[name] for name in COUNT_FIELDS)
+    t, t1, t2, cited, *refs = ([col[i] for i in rows] for col in counts)
+    complete = [None not in r for r in zip(*refs)]
+    rt, rj, rjw = (sum(compress(col, complete)) for col in refs)
+    excluded = complete.count(False)
+    return CategoryAggregate(code, sum(t), sum(t1), sum(t2), rt, rj, sum(cited), rjw, excluded)
 
 
 def _category_table(dataset: Dataset) -> tuple[dict, CategoryAggregate]:

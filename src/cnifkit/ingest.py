@@ -9,20 +9,9 @@ import sys
 from collections import defaultdict
 from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
-from .core_model import FIELDS, Dataset, Edition, JournalRecord
+from .core_model import COUNT_FIELDS, FIELDS, Dataset, Edition
 
-JOURNAL_HEADER = [
-    "id",
-    "name",
-    "categories",
-    "items_t",
-    "items_t1",
-    "items_t2",
-    "cited_in_window",
-    "refs_total",
-    "refs_jcr",
-    "refs_jcr_in_window",
-]
+JOURNAL_HEADER = list(FIELDS)
 
 FIXTURE_HEADER = [
     "code",
@@ -275,29 +264,12 @@ def parse_category_fixture_csv(stream: IO[str]) -> list[CategoryFixtureRow]:
     return out
 
 
-def _journal_row(j: JournalRecord) -> list[str]:
-    def opt(v: Optional[int]) -> str:
-        return "" if v is None else str(v)
-
-    return [
-        j.id,
-        j.name,
-        ";".join(j.categories),
-        str(j.items_t),
-        str(j.items_t1),
-        str(j.items_t2),
-        str(j.cited_in_window),
-        opt(j.refs_total),
-        opt(j.refs_jcr),
-        opt(j.refs_jcr_in_window),
-    ]
-
-
 def emit_journals_csv(dataset: Dataset, stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(JOURNAL_HEADER)
-    for j in dataset.journals:
-        writer.writerow(_journal_row(j))
+    c = dataset.columns  # csv.writer writes an absent reference count, None, as ""
+    codes = map(";".join, c["categories"])
+    writer.writerows(zip(c["id"], c["name"], codes, *(c[name] for name in COUNT_FIELDS)))
 
 
 def emit_report(rows: Sequence[dict], fmt: str, stream: IO[str]) -> None:

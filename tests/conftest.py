@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cnifkit.core_model import Dataset, JournalRecord
+from cnifkit.core_model import CategoryAggregate, Dataset, JournalRecord, UndefinedIndicatorError
 from cnifkit.ingest import parse_category_fixture_csv
 from cnifkit.reference import bundled_fixture_path
 
@@ -42,6 +42,40 @@ def random_journal(rng: random.Random, jid, categories, max_count=10**6):
         refs_jcr=refs_jcr,
         refs_jcr_in_window=rng.randint(0, refs_jcr),
     )
+
+
+def oracle_aggregate(journals, code: str) -> CategoryAggregate:
+    """Fieldwise sums over the records, the walk the columnar aggregates replaced."""
+    sums = dict(a_t=0, a_t1=0, a_t2=0, refs_total=0, refs_jcr=0, ncited=0, nciting=0)
+    excluded = 0
+    for j in journals:
+        sums["a_t"] += j.items_t
+        sums["a_t1"] += j.items_t1
+        sums["a_t2"] += j.items_t2
+        sums["ncited"] += j.cited_in_window
+        if j.has_reference_fields():
+            sums["refs_total"] += j.refs_total
+            sums["refs_jcr"] += j.refs_jcr
+            sums["nciting"] += j.refs_jcr_in_window
+        else:
+            excluded += 1
+    return CategoryAggregate(code, **sums, reference_exclusions=excluded)
+
+
+def oracle_union_aggregate(dataset, codes) -> CategoryAggregate:
+    """``oracle_aggregate`` over the union of the codes' members, each journal id once."""
+    codes = list(codes)
+    union = {}
+    for code in codes:
+        for j in dataset.members(code):
+            union.setdefault(j.id, j)
+    return oracle_aggregate(union.values(), "+".join(sorted(codes)))
+
+
+def oracle_jcr_aggregate(dataset) -> CategoryAggregate:
+    if not dataset.journals:
+        raise UndefinedIndicatorError("empty dataset has no whole-database aggregate")
+    return oracle_aggregate(dataset.journals, "JCR")
 
 
 @pytest.fixture(scope="session")

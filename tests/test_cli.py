@@ -74,6 +74,21 @@ class TestExitCodes:
         rule = "not an integer: 'x'" if digits == "x" else "must be a non-negative integer, got -1"
         assert capsys.readouterr().err.endswith(f"error: argument --digits: {rule}\n")
 
+    @pytest.mark.parametrize(
+        "command", [c for c in COMMANDS if "--digits" in c.extra], ids=lambda c: c.name
+    )
+    def test_digits_above_17_is_usage_error(self, command, sample_csv, tmp_path, capsys):
+        # 309 decimals once overflowed round_away's 10**digits with a traceback
+        argv = command.name.split() + (["--input", sample_csv] if command.source == "--input" else [])
+        out = tmp_path / "out"
+        assert main(argv + ["--digits", "17", "--format", "json", "--out", str(out)]) == 0
+        for path in tmp_path.glob("out*"):
+            path.unlink()
+        assert main(argv + ["--digits", "309", "--format", "json", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --digits: must be at most 17, got 309\n")
+        assert list(tmp_path.glob("out*")) == []
+
     def test_zero_digits_accepted(self, sample_csv, capsys):
         assert main(["cnif", "--input", sample_csv, "--digits", "0"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "j1,2,2,2,1,2"
@@ -231,6 +246,16 @@ class TestExitCodes:
         rule = f"not a number: {alpha!r}" if alpha in ("nan", "x") else "must lie strictly between 0 and 1"
         assert f"error: argument --alpha: {rule}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["5e-324", "3e-324"])
+    def test_alpha_whose_half_underflows_is_usage_error(self, alpha, tmp_path, capsys):
+        # alpha / 2 == 0 once failed inside log() as "error: math domain error"
+        out = tmp_path / "k.csv"
+        assert main(["stats", "ks", "--alpha", alpha, "--out", str(out)]) == 2
+        rule = f"too small: alpha / 2 underflows to 0, got {alpha}"
+        assert f"error: argument --alpha: {rule}" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["stats", "ks", "--alpha", "1e-323", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("height", ["nan", "NaN", "x"])
     def test_nan_height_is_usage_error(self, height, tmp_path, capsys):

@@ -19,7 +19,7 @@ VALID_VALUES = {
     "--k": "3",
     "--height": "2.5",
 }
-BAD_VALUES = {"--digits": ["x", "-1"], "--alpha": ["2", "nan"], "--k": ["x"]}
+BAD_VALUES = {"--digits": ["x", "-1", "18"], "--alpha": ["2", "nan", "5e-324"], "--k": ["x"]}
 
 
 def _valid(command: cli.Command) -> list[str]:

@@ -1,9 +1,9 @@
 """The category table behind cnif(), the CNIF scorer's memo and Dataset.members().
 
-The uncached compositions of jcr_aggregate, meta_category_aggregate and
-impact_factor are the oracles; score and CNIF are their exact rationals,
-rounded once.  The complexity guard counts table builds, aggregate calls and
-CNIF computations through the CLI; it uses no clocks.
+The record walks of ``conftest`` (whole-database and union aggregates),
+composed with impact_factor, are the oracles; score and CNIF are their exact
+rationals, rounded once.  The complexity guard counts table builds,
+aggregate calls and CNIF computations through the CLI; it uses no clocks.
 """
 from collections import Counter
 from fractions import Fraction
@@ -20,12 +20,10 @@ from cnifkit.indicators import (
     category_aggregate,
     cnif,
     impact_factor,
-    jcr_aggregate,
-    meta_category_aggregate,
     row_cnif,
 )
 
-from conftest import make_dataset, make_journal
+from conftest import make_dataset, make_journal, oracle_jcr_aggregate, oracle_union_aggregate
 
 CODES = ("A", "B", "C", "D", "E")
 
@@ -52,9 +50,12 @@ def exact_aif(agg):
     return Fraction(agg.ncited, agg.items_window)
 
 
+def exact_score(ds, j):
+    return exact_aif(oracle_jcr_aggregate(ds)) / exact_aif(oracle_union_aggregate(ds, j.categories))
+
+
 def uncached_cnif(ds, j):
-    score = exact_aif(jcr_aggregate(ds)) / exact_aif(meta_category_aggregate(ds, j.categories))
-    return float(score * Fraction(j.cited_in_window, j.items_window))
+    return float(exact_score(ds, j) * Fraction(j.cited_in_window, j.items_window))
 
 
 def scan_members(ds, code):
@@ -87,14 +88,13 @@ def outcome(compute):
 
 def uncached_score(ds, j):
     if_value = impact_factor(j)
-    jcr_aif = aggregate_impact_factor(jcr_aggregate(ds))
-    meta_aif = aggregate_impact_factor(meta_category_aggregate(ds, j.categories))
+    jcr_aif = aggregate_impact_factor(oracle_jcr_aggregate(ds))
+    meta_aif = aggregate_impact_factor(oracle_union_aggregate(ds, j.categories))
     if meta_aif == 0:
         raise UndefinedIndicatorError(
             f"journal {j.id}: zero meta-category AIF, normalization undefined"
         )
-    score = exact_aif(jcr_aggregate(ds)) / exact_aif(meta_category_aggregate(ds, j.categories))
-    return if_value, meta_aif, jcr_aif, float(score), uncached_cnif(ds, j)
+    return if_value, meta_aif, jcr_aif, float(exact_score(ds, j)), uncached_cnif(ds, j)
 
 
 def degenerate_dataset(rnd, n):

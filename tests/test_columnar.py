@@ -1,37 +1,29 @@
-"""The per-code sums table against the record walk it replaced, and the
-journal commands' freedom from records.
+"""The per-code sums table and the aggregate API against the record walk
+they replaced, and the journal paths' freedom from records.
 
-``oracle_aggregate`` is the record walk that ``category_aggregate`` did
-before the sums table.  The columnar parser's differential test against the
-record parser is in ``test_ingest_stream``.
+``oracle_aggregate`` and its union and whole-database variants in
+``conftest`` walk records as ``category_aggregate``, ``meta_category_aggregate``
+and ``jcr_aggregate`` did before the columns.  The columnar parser's
+differential test against the record parser is in ``test_ingest_stream``.
 """
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnifkit import indicators
 from cnifkit.cli import main
-from cnifkit.core_model import CategoryAggregate, JournalRecord
-from cnifkit.ingest import JOURNAL_HEADER
+from cnifkit.core_model import JournalRecord, UndefinedIndicatorError
+from cnifkit.ingest import JOURNAL_HEADER, emit_journals_csv, parse_journals_csv
 
-from conftest import make_dataset, make_journal
-
-
-def oracle_aggregate(journals, code: str) -> CategoryAggregate:
-    sums = dict(a_t=0, a_t1=0, a_t2=0, refs_total=0, refs_jcr=0, ncited=0, nciting=0)
-    excluded = 0
-    for j in journals:
-        sums["a_t"] += j.items_t
-        sums["a_t1"] += j.items_t1
-        sums["a_t2"] += j.items_t2
-        sums["ncited"] += j.cited_in_window
-        if j.has_reference_fields():
-            sums["refs_total"] += j.refs_total
-            sums["refs_jcr"] += j.refs_jcr
-            sums["nciting"] += j.refs_jcr_in_window
-        else:
-            excluded += 1
-    return CategoryAggregate(code, **sums, reference_exclusions=excluded)
+from conftest import (
+    make_dataset,
+    make_journal,
+    oracle_aggregate,
+    oracle_jcr_aggregate,
+    oracle_union_aggregate,
+)
 
 
 @st.composite
@@ -62,12 +54,33 @@ def test_sums_table_equals_record_aggregates(ds):
         assert [ds.journals[i] for i in shared] == multi
 
 
+def outcome(call):
+    """The aggregate, or the error's type and message."""
+    try:
+        return call()
+    except (KeyError, UndefinedIndicatorError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(), st.lists(st.lists(st.sampled_from("ABCDZ"), max_size=6), max_size=4))
+def test_aggregate_api_equals_record_walk(ds, code_lists):
+    # repeated codes, the empty list and the unknown code Z among them
+    for codes in code_lists + [[], list(ds.category_codes())]:
+        expected = outcome(lambda: oracle_union_aggregate(ds, codes))
+        assert outcome(lambda: indicators.meta_category_aggregate(ds, iter(codes))) == expected
+    # the empty dataset among them
+    expected = outcome(lambda: oracle_jcr_aggregate(ds))
+    assert outcome(lambda: indicators.jcr_aggregate(ds)) == expected
+
+
 CSV_ROWS = [
     "j1,Alpha,A;B,10,12,11,46,400,300,60",
     "j2,Beta,A,8,9,10,19,,,",
     "j3,Gamma,B,6,7,8,90,500,450,75",
     "j4,Delta,B;C,5,6,7,13,200,150,30",
 ]
+CSV_TEXT = ",".join(JOURNAL_HEADER) + "\n" + "\n".join(CSV_ROWS) + "\n"
 
 JOURNAL_COMMANDS = [
     ["validate"],
@@ -80,16 +93,32 @@ JOURNAL_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("command", JOURNAL_COMMANDS, ids=" ".join)
-def test_journal_commands_build_no_record(command, tmp_path, monkeypatch):
-    path = tmp_path / "journals.csv"
-    path.write_text(",".join(JOURNAL_HEADER) + "\n" + "\n".join(CSV_ROWS) + "\n")
-
+@pytest.fixture
+def no_records(monkeypatch):
     def no_record(self):
         raise AssertionError(f"JournalRecord built for {self.id}")
 
     monkeypatch.setattr(JournalRecord, "__post_init__", no_record)
+
+
+@pytest.mark.parametrize("command", JOURNAL_COMMANDS, ids=" ".join)
+def test_journal_commands_build_no_record(command, tmp_path, no_records):
+    path = tmp_path / "journals.csv"
+    path.write_text(CSV_TEXT)
     assert main(command + ["--input", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        indicators.jcr_aggregate,
+        lambda ds: indicators.meta_category_aggregate(ds, ["B", "C", "A", "B"]),
+        lambda ds: emit_journals_csv(ds, io.StringIO()),
+    ],
+    ids=["jcr_aggregate", "meta_category_aggregate", "emit_journals_csv"],
+)
+def test_parsed_dataset_api_builds_no_record(call, no_records):
+    call(parse_journals_csv(io.StringIO(CSV_TEXT)))
 
 
 def test_api_dataset_keeps_its_records():

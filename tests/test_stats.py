@@ -8,6 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cnifkit.cli import component_columns, edition_rows
+from cnifkit.reference import PCA_SCORES, PCA_TOP_SHARE_TOLERANCE
 from cnifkit.stats import (
     Dendrogram,
     Matrix,
@@ -136,6 +137,25 @@ class TestPca:
         res = pca_variance_shares(component_columns(edition_rows(fixture_rows, "social")))
         top2 = sum(sorted(res.attributed_shares.values(), reverse=True)[:2])
         assert top2 == pytest.approx(0.8129, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "edition, credited_as",
+        [
+            ("science", {"a": "a", "r": "b", "p": "p", "w": "w", "b": "r"}),
+            ("social", {"a": "a", "r": "b", "p": "r", "w": "p", "b": "w"}),
+        ],
+    )
+    def test_shares_match_published_scores_up_to_their_variables(
+        self, fixture_rows, edition, credited_as
+    ):
+        res = pca_variance_shares(component_columns(edition_rows(fixture_rows, edition)))
+        ours = sorted(res.attributed_shares.items(), key=lambda kv: kv[1])
+        published = sorted(PCA_SCORES[edition].items(), key=lambda kv: kv[1])
+        assert [v for _, v in ours] == pytest.approx(
+            [v for _, v in published], abs=PCA_TOP_SHARE_TOLERANCE
+        )
+        # the greedy attribution credits the published shares to other variables
+        assert {k: k_pub for (k, _), (k_pub, _) in zip(ours, published)} == credited_as
 
     def test_eigenvalues_sum_to_dimension(self, fixture_rows):
         for edition in ("science", "social"):
