@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+# numpy loads inside each kernel, so the journal commands never import it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,7 @@ class SdHistogram:
 
 def listwise_complete(columns: dict[str, Sequence[Optional[float]]]) -> tuple[dict[str, np.ndarray], int]:
     """Drop rows with any missing value; also report how many were dropped."""
+    import numpy as np
     labels = list(columns)
     lengths = {len(v) for v in columns.values()}
     if len(lengths) != 1:
@@ -87,11 +90,13 @@ def listwise_complete(columns: dict[str, Sequence[Optional[float]]]) -> tuple[di
 
 def _sd(x: np.ndarray) -> np.ndarray:
     """Sample sd (ddof=1) down the first axis; inf or nan, not a warning, on overflow."""
+    import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):
         return x.std(axis=0, ddof=1)
 
 
 def _pearson(x: np.ndarray, y: np.ndarray, pair: tuple[str, str]) -> float:
+    import numpy as np
     xc = x - x.mean()
     yc = y - y.mean()
     ss = float(np.dot(xc, xc)) * float(np.dot(yc, yc))  # inf, not a warning, on overflow
@@ -106,6 +111,7 @@ def correlation_matrix(columns: dict[str, Sequence[Optional[float]]]) -> Matrix:
     Each unordered pair is computed once and mirrored, so the result is
     exactly symmetric with a unit diagonal.
     """
+    import numpy as np
     complete, _ = listwise_complete(columns)
     labels = tuple(complete)
     for k, v in complete.items():
@@ -127,6 +133,7 @@ _JACOBI_TOL = 1e-12
 
 def symmetric_eigendecomposition(m: Matrix) -> EigenResult:
     """Cyclic Jacobi rotations until the off-diagonal norm drops below _JACOBI_TOL."""
+    import numpy as np
     a = np.array(m.values, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or np.max(np.abs(a - a.T)) > 1e-9:
@@ -167,6 +174,7 @@ def pca_variance_shares(columns: dict[str, Sequence[Optional[float]]]) -> PcaRes
     the per-variable scores are a permutation of the eigenvalue shares and
     sum to one.
     """
+    import numpy as np
     corr = correlation_matrix(columns)
     eig = symmetric_eigendecomposition(corr)
     labels = corr.labels
@@ -185,15 +193,13 @@ def pca_variance_shares(columns: dict[str, Sequence[Optional[float]]]) -> PcaRes
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
+    import numpy as np
     sd = _sd(x)
     if not np.all(np.isfinite(sd) & (sd != 0)):
         raise ValueError("cannot standardize a non-finite or zero-variance column")
     return (x - x.mean(axis=0)) / sd
 
 
-# an overflow leaves inf between two live clusters until they merge, so it
-# shows as an infinite merge height, never as a wrong finite one
-@np.errstate(over="ignore")
 def ward_cluster(
     labels: Sequence[str], vectors: Sequence[Sequence[float]], standardize: bool = True
 ) -> Dendrogram:
@@ -206,51 +212,59 @@ def ward_cluster(
     input order.  Each row's minimum is cached, so a merge searches O(n)
     values and rescans only the rows whose minimum it removed.
     """
-    if len(labels) != len(vectors):
-        raise ValueError("labels and vectors must align")
-    if len(labels) < 2:
-        raise ValueError("need at least 2 complete vectors")
-    x = np.array(vectors, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("vectors must be finite")
-    if standardize:
-        x = _standardize(x)
-    n = len(labels)
-    # order leaves by label so the tie-break is permutation invariant
-    order = sorted(range(n), key=lambda i: labels[i])
-    x = x[order]
-    leaf_labels = tuple(labels[i] for i in order)
+    import numpy as np
+    # an overflow leaves inf between two live clusters until they merge, so it
+    # shows as an infinite merge height, never as a wrong finite one
+    with np.errstate(over="ignore"):
+        if len(labels) != len(vectors):
+            raise ValueError("labels and vectors must align")
+        if len(labels) < 2:
+            raise ValueError("need at least 2 complete vectors")
+        x = np.array(vectors, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError("vectors must be finite")
+        if standardize:
+            x = _standardize(x)
+        n = len(labels)
+        # order leaves by label so the tie-break is permutation invariant
+        order = sorted(range(n), key=lambda i: labels[i])
+        x = x[order]
+        leaf_labels = tuple(labels[i] for i in order)
 
-    d = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d, np.inf)  # merged-away rows and columns become inf too
-    ids = list(range(n))  # row -> cluster id; row i keeps a merge of rows i < j
-    tags = list(leaf_labels)
-    sizes = np.ones(n, dtype=np.int64)  # never 0, so no 0 * inf (nan) in a dead row
-    best = d.min(axis=1)  # each row's minimum, exact after every merge; inf once dead
-    merges = []
-    for new in range(n, 2 * n - 1):
-        h = best.min()
-        if h == np.inf:
-            raise ValueError("squared distances between the vectors overflow")
-        # exact ties only, all in the rows whose minimum is h; the tag order makes
-        # the choice permutation invariant (then the older pairs first, as in a
-        # scan in order of cluster id)
-        i, j = min(
-            ((r, c) for r in (best == h).nonzero()[0].tolist()
-             for c in (d[r] == h).nonzero()[0].tolist() if r < c),
-            key=lambda p: (sorted(tags[r] for r in p), sorted(ids[r] for r in p)),
-        )
-        # live rows whose minimum sits in column i or j, i and j among them
-        stale = ((best < np.inf) & ((d[i] == best) | (d[j] == best))).nonzero()[0]
-        ni, nj = sizes[i], sizes[j]
-        row = ((ni + sizes) * d[i] + (nj + sizes) * d[j] - sizes * h) / (ni + nj + sizes)
-        d[i, :] = d[:, i] = row
-        d[j, :] = d[:, j] = d[i, i] = np.inf
-        np.minimum(best, d[i], out=best)  # exact for every row not stale
-        best[stale] = d[stale].min(axis=1)  # row j is all inf now
-        merges.append(Merge(min(ids[i], ids[j]), max(ids[i], ids[j]), h, new, int(ni + nj)))
-        ids[i], tags[i], sizes[i] = new, min(tags[i], tags[j]), ni + nj
-    return Dendrogram(leaf_labels, tuple(merges))
+        # 32 rows at a time, so no n x n x dim difference array is held; each
+        # entry is the same length-dim sum, so d is bit-identical to one pass
+        d = np.empty((n, n))
+        for s in range(0, n, 32):
+            d[s : s + 32] = np.sum((x[s : s + 32, None, :] - x[None, :, :]) ** 2, axis=2)
+        np.fill_diagonal(d, np.inf)  # merged-away rows and columns become inf too
+        ids = list(range(n))  # row -> cluster id; row i keeps a merge of rows i < j
+        tags = list(leaf_labels)
+        sizes = np.ones(n, dtype=np.int64)  # never 0, so no 0 * inf (nan) in a dead row
+        best = d.min(axis=1)  # each row's minimum, exact after every merge; inf once dead
+        merges = []
+        for new in range(n, 2 * n - 1):
+            h = best.min()
+            if h == np.inf:
+                raise ValueError("squared distances between the vectors overflow")
+            # exact ties only, all in the rows whose minimum is h; the tag order makes
+            # the choice permutation invariant (then the older pairs first, as in a
+            # scan in order of cluster id)
+            i, j = min(
+                ((r, c) for r in (best == h).nonzero()[0].tolist()
+                 for c in (d[r] == h).nonzero()[0].tolist() if r < c),
+                key=lambda p: (sorted(tags[r] for r in p), sorted(ids[r] for r in p)),
+            )
+            # live rows whose minimum sits in column i or j, i and j among them
+            stale = ((best < np.inf) & ((d[i] == best) | (d[j] == best))).nonzero()[0]
+            ni, nj = sizes[i], sizes[j]
+            row = ((ni + sizes) * d[i] + (nj + sizes) * d[j] - sizes * h) / (ni + nj + sizes)
+            d[i, :] = d[:, i] = row
+            d[j, :] = d[:, j] = d[i, i] = np.inf
+            np.minimum(best, d[i], out=best)  # exact for every row not stale
+            best[stale] = d[stale].min(axis=1)  # row j is all inf now
+            merges.append(Merge(min(ids[i], ids[j]), max(ids[i], ids[j]), h, new, int(ni + nj)))
+            ids[i], tags[i], sizes[i] = new, min(tags[i], tags[j]), ni + nj
+        return Dendrogram(leaf_labels, tuple(merges))
 
 
 def cut_dendrogram(
@@ -302,6 +316,7 @@ def ks_normality(sample: Sequence[float], alpha: float = 0.05, lilliefors: bool 
     plain KS test; because the parameters are fitted this is conservative,
     so a Lilliefors-corrected mode is available.
     """
+    import numpy as np
     x = np.sort(np.asarray(sample, dtype=float))
     n = len(x)
     if n < 5:
@@ -324,6 +339,7 @@ def ks_normality(sample: Sequence[float], alpha: float = 0.05, lilliefors: bool 
 
 def histogram_by_sd(sample: Sequence[float]) -> SdHistogram:
     """Counts in the 8 half-open sd bands plus closed-band coverage shares."""
+    import numpy as np
     x = np.asarray(sample, dtype=float)
     n = len(x)
     if n < 2:

@@ -13,6 +13,14 @@ from hypothesis import strategies as st
 
 from cnifkit.cli import COMMANDS, main, round_away
 from cnifkit.reference import TABLE4_DIVERGENT_CELLS, bundled_fixture_path
+from test_cli_golden import journal_csv
+
+
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
 
 HEADER = "id,name,categories,items_t,items_t1,items_t2,cited_in_window,refs_total,refs_jcr,refs_jcr_in_window"
 
@@ -110,11 +118,9 @@ class TestExitCodes:
 
     @staticmethod
     def run_module(module):
-        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         return subprocess.run(
             [sys.executable, "-m", module, "validate", "--input", "/nonexistent/x.csv"],
-            env=env,
+            env=src_env(),
             capture_output=True,
             text=True,
         )
@@ -515,3 +521,57 @@ class TestDeterminism:
                 results.append((Path(tmp) / f"out{k}.csv.summary").read_bytes())  # from gap
                 outputs.append(results)
             assert outputs[0] == outputs[1]
+
+
+# Runs each argv of the JSON list in argv[2] through cnifkit.cli.main and prints
+# the exit codes and whether numpy was loaded after `import cnifkit.stats` and
+# after the commands; with argv[1] == "block" every numpy import raises.
+NUMPY_PROBE = """
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+import cnifkit.stats
+loaded = [sys.modules.get("numpy") is not None]
+from cnifkit.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[2])]
+loaded.append(sys.modules.get("numpy") is not None)
+print(json.dumps({"codes": codes, "numpy_loaded": loaded}))
+"""
+
+
+def run_numpy_probe(mode, argvs):
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, mode, json.dumps(argvs)],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestNumpyOffJournalPath:
+    def test_journal_commands_run_without_numpy(self, tmp_path):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text(journal_csv(5, 60))
+        bad.write_text(journal_csv(5, 60, violations=True))
+        commands = [["validate", "--input", str(bad)], ["validate", "--input", str(good)]] + [
+            command + ["--input", str(good)]
+            for command in (["indicators"], ["decompose"], ["cnif"], ["rank", "--scorer", "if"],
+                            ["rank", "--scorer", "cnif"], ["gap"])
+        ]
+        blocked, in_process = tmp_path / "blocked", tmp_path / "in-process"
+        blocked.mkdir()
+        in_process.mkdir()
+        argvs = [c + ["--out", str(blocked / f"{k}.out")] for k, c in enumerate(commands)]
+        probe = run_numpy_probe("block", argvs)
+        codes = [main(c + ["--out", str(in_process / f"{k}.out")]) for k, c in enumerate(commands)]
+        assert probe["codes"] == codes == [1] + [0] * 7
+        outputs = [{p.name: p.read_bytes() for p in d.iterdir()} for d in (blocked, in_process)]
+        assert "7.out.summary" in outputs[0]  # gap's side file
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", [["stats", "corr"], ["reproduce-table3"]], ids=lambda c: c[-1])
+    def test_stats_commands_load_numpy(self, command, tmp_path):
+        probe = run_numpy_probe("allow", [command + ["--out", str(tmp_path / "out")]])
+        assert probe == {"codes": [0], "numpy_loaded": [False, True]}

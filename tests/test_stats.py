@@ -341,6 +341,29 @@ class TestWard:
             return
         assert ward_cluster(labels, points, standardize) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([31, 32, 33, 64, 65]),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_float_distances_bit_identical_to_dense_matrix(self, n, dim, seed, standardize):
+        # sizes on either side of the 32-row distance blocks, float sums in any
+        # order: a per-dimension sum differs from numpy's pairwise one from dim 8
+        rng = np.random.default_rng(seed)
+        points = (rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 4, dim)).tolist()
+        labels = [f"v{i:02d}" for i in rng.permutation(n)]
+        got = ward_cluster(labels, points, standardize)
+        expected = dense_matrix_ward(labels, points, standardize)
+        assert got.leaf_labels == expected.leaf_labels
+        assert [(m.left, m.right, m.new_id, m.size) for m in got.merges] == [
+            (m.left, m.right, m.new_id, m.size) for m in expected.merges
+        ]
+        assert [float(m.height).hex() for m in got.merges] == [
+            float(m.height).hex() for m in expected.merges
+        ]
+
     @pytest.mark.parametrize("edition", ["science", "social", "all"])
     def test_bundled_table_identical_to_dense_matrix(self, fixture_rows, edition):
         complete = [r for r in edition_rows(fixture_rows, edition) if r.is_complete()]
