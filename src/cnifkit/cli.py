@@ -43,7 +43,7 @@ def _fixture(args) -> list[CategoryFixtureRow]:
 def edition_rows(rows: list[CategoryFixtureRow], edition: str) -> list[CategoryFixtureRow]:
     if edition == "all":
         return rows
-    wanted = Edition.SCIENCE if edition == "science" else Edition.SOCIAL_SCIENCE
+    wanted = Edition(edition)
     return [r for r in rows if r.edition == wanted]
 
 
@@ -338,6 +338,7 @@ class Command:
     source: str = "--fixture"  # or "--input", which is then required
     extra: tuple[str, ...] = ()  # flags of ARGUMENTS
     fmt: Optional[str] = None  # the only --format the command writes
+    header: tuple[str, ...] = ()  # the CSV header of the main output, written when it has no rows
 
 
 ARGUMENTS = {
@@ -352,12 +353,18 @@ ARGUMENTS = {
 }
 
 COMMANDS = (
-    Command("validate", _validate_rows, "--input"),
+    Command("validate", _validate_rows, "--input", header=("record_id", "rule")),
     Command("indicators", _indicator_rows, "--input", extra=("--digits",)),
     Command("decompose", _decompose_rows, extra=("--input", "--edition", "--digits")),
     Command("cnif", _cnif_rows, "--input", extra=("--digits",)),
     Command("rank", _rank_rows, "--input", extra=("--scorer", "--digits")),
-    Command("gap", _gap_rows, "--input", extra=("--digits",)),
+    Command(
+        "gap",
+        _gap_rows,
+        "--input",
+        extra=("--digits",),
+        header=("journal_id", "categories", "if", "cnif", "gap_if", "gap_cnif"),
+    ),
     Command("stats corr", _corr_rows, extra=("--edition", "--digits")),
     Command("stats pca", _pca_rows, extra=("--edition",), fmt="json"),
     Command("stats ks", _ks_rows, extra=("--edition", "--alpha", "--lilliefors", "--digits")),
@@ -423,9 +430,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         code, outputs = args.run.rows(args)
         for suffix, rows in outputs.items():
+            header = () if suffix else args.run.header
             if args.out is None:
                 try:
-                    ingest.emit_report(rows, args.format, sys.stdout)
+                    ingest.emit_report(rows, args.format, sys.stdout, header)
                     sys.stdout.flush()
                 except BrokenPipeError:  # the reader stopped early, as `| head` does
                     with open(os.devnull, "w") as devnull:  # so the flush at exit is silent
@@ -434,7 +442,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 continue
             with open(args.out + suffix, "w", encoding="utf-8") as f:
                 written.append(f.name)
-                ingest.emit_report(rows, args.format, f)
+                ingest.emit_report(rows, args.format, f, header)
         return code
     except FileNotFoundError as exc:
         message, code = f"file not found: {exc.filename}", USAGE_ERROR

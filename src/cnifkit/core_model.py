@@ -22,7 +22,8 @@ class JournalRecord:
     ``items_t*`` are citable-item counts in the census year t and the two
     target-window years.  ``cited_in_window`` counts citations received in
     year t to the t-1/t-2 volumes.  The three reference fields are optional:
-    absent means unknown, never zero.  A repeated category code raises ``ValueError``.
+    absent means unknown, never zero.  An empty category list, a repeated
+    category code or a negative count raises ``ValueError``.
     """
 
     id: str
@@ -38,9 +39,15 @@ class JournalRecord:
 
     def __post_init__(self):
         categories = tuple(self.categories)
+        if not categories:
+            raise ValueError(f"journal {self.id}: empty category list")
         if len(categories) > 1 and len(set(categories)) != len(categories):
             raise ValueError(f"journal {self.id}: duplicate category codes")
         object.__setattr__(self, "categories", categories)
+        for name in COUNT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"journal {self.id}: negative count in {name}: {value}")
 
     @property
     def items_window(self) -> int:
@@ -184,20 +191,16 @@ class Violation:
 
 
 def validate(dataset: Dataset) -> list[Violation]:
-    """Collect every invariant violation in the dataset.
+    """Collect every break of the two cross-field reference rules, row by row.
 
     Violations are data, not failures: an empty list means the dataset is
-    well formed.  The input is never mutated and the result is independent
+    well formed.  A record's own rules are ``JournalRecord``'s, so no dataset
+    breaks them.  The input is never mutated and the result is independent
     of journal order up to ordering of the report.
     """
     report: list[Violation] = []
-    for row in zip(*dataset.columns.values()):
-        jid, _, categories, _, _, _, _, rt, rj, rjw = row
-        if not categories:
-            report.append(Violation(jid, "empty category list"))
-        for name, v in zip(COUNT_FIELDS, row[3:]):
-            if v is not None and v < 0:
-                report.append(Violation(jid, f"negative count: {name}"))
+    c = dataset.columns
+    for jid, rt, rj, rjw in zip(c["id"], c["refs_total"], c["refs_jcr"], c["refs_jcr_in_window"]):
         if rt is not None and rj is not None and rj > rt:
             report.append(Violation(jid, "refs_jcr exceeds refs_total"))
         if rj is not None and rjw is not None and rjw > rj:

@@ -229,8 +229,6 @@ def _cnif(dataset: Dataset, journal_id: str, codes, cited: int, items: int) -> N
         raise UndefinedIndicatorError("empty dataset has no whole-database aggregate")
     by_code, jcr = _table(dataset)
     jcr_aif = aggregate_impact_factor(jcr)
-    if not codes:
-        raise UndefinedIndicatorError(f"journal {journal_id}: lists no category, CNIF undefined")
     c = dataset.columns
     categories, t1, t2, ncited = c["categories"], c["items_t1"], c["items_t2"], c["cited_in_window"]
     union_items = union_cited = 0

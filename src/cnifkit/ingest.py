@@ -13,29 +13,13 @@ from .core_model import COUNT_FIELDS, FIELDS, Dataset, Edition
 
 JOURNAL_HEADER = list(FIELDS)
 
-FIXTURE_HEADER = [
-    "code",
-    "name",
-    "edition",
-    "refs_jcr",
-    "refs_total",
-    "ncited",
-    "nciting",
-    "a",
-    "r",
-    "p",
-    "w",
-    "b",
-    "aif",
-]
-
 T = TypeVar("T")
 
 # Every count lies below the int64 bound; summed over journals it keeps every
 # IF, AIF and CNIF ratio a finite float.
 COUNT_LIMIT = 2**63
 
-_EDITIONS = {"science": Edition.SCIENCE, "social": Edition.SOCIAL_SCIENCE}
+_EDITIONS = {e.value: e for e in Edition}
 
 
 class ParseError(ValueError):
@@ -58,6 +42,9 @@ class _FixtureFields(NamedTuple):
     printed_w: Optional[float] = None
     printed_b: Optional[float] = None
     printed_aif: Optional[float] = None
+
+
+FIXTURE_HEADER = [n.removeprefix("printed_") for n in _FixtureFields._fields]
 
 
 class CategoryFixtureRow(_FixtureFields):
@@ -272,13 +259,15 @@ def emit_journals_csv(dataset: Dataset, stream: IO[str]) -> None:
     writer.writerows(zip(c["id"], c["name"], codes, *(c[name] for name in COUNT_FIELDS)))
 
 
-def emit_report(rows: Sequence[dict], fmt: str, stream: IO[str]) -> None:
+def emit_report(
+    rows: Sequence[dict], fmt: str, stream: IO[str], header: Sequence[str] = ()
+) -> None:
     """Write report rows as CSV or JSON, one row at a time.
 
     CSV columns are the keys of the first row, in order; a row without one of
-    them, or with ``None`` in it, gets an empty cell, and no rows write
-    nothing.  JSON is exactly ``json.dump(rows, stream, indent=2)`` and a
-    newline.
+    them, or with ``None`` in it, gets an empty cell.  No rows write the
+    ``header`` line alone, or nothing if it is empty.  JSON is exactly
+    ``json.dump(rows, stream, indent=2)`` and a newline.
     """
     if fmt == "json":
         sep = "[\n  "
@@ -288,8 +277,8 @@ def emit_report(rows: Sequence[dict], fmt: str, stream: IO[str]) -> None:
             sep = ",\n  "
         stream.write("\n]\n" if rows else "[]\n")
     elif fmt == "csv":
-        if rows:
-            keys = list(rows[0])
+        if rows or header:
+            keys = list(rows[0]) if rows else header
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(keys)
             writer.writerows([row.get(k) for k in keys] for row in rows)

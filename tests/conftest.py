@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from cnifkit.core_model import CategoryAggregate, Dataset, JournalRecord, UndefinedIndicatorError
+from cnifkit.core_model import (
+    CategoryAggregate,
+    Dataset,
+    JournalRecord,
+    UndefinedIndicatorError,
+    Violation,
+)
 from cnifkit.ingest import parse_category_fixture_csv
 from cnifkit.reference import bundled_fixture_path
 
@@ -42,6 +48,19 @@ def random_journal(rng: random.Random, jid, categories, max_count=10**6):
         refs_jcr=refs_jcr,
         refs_jcr_in_window=rng.randint(0, refs_jcr),
     )
+
+
+def oracle_validate(journals) -> list[Violation]:
+    """The two cross-field reference rules walked over the records, in row
+    then rule order; an absent reference field breaks neither."""
+    report = []
+    for j in journals:
+        rt, rj, rjw = j.refs_total, j.refs_jcr, j.refs_jcr_in_window
+        if None not in (rt, rj) and rj > rt:
+            report.append(Violation(j.id, "refs_jcr exceeds refs_total"))
+        if None not in (rj, rjw) and rjw > rj:
+            report.append(Violation(j.id, "refs_jcr_in_window exceeds refs_jcr"))
+    return report
 
 
 def oracle_aggregate(journals, code: str) -> CategoryAggregate:

@@ -383,6 +383,24 @@ class TestCommands:
         body = out.read_text().splitlines()
         assert body[1].split(",")[0] == "j1"  # only multi-category journal
 
+    # each command's input rows: one run with report rows, one without
+    HEADER_RUNS = {
+        "validate": ("j1,J,A,1,1,1,1,10,20,5", "j1,J,A,1,1,1,1,20,10,5"),  # refs_jcr > refs_total
+        "gap": ("j1,J,A;B,1,1,1,1,,,\nj2,K,A,1,1,1,2,,,", "j1,J,A,1,1,1,1,,,\nj2,K,B,1,1,1,2,,,"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HEADER_RUNS))
+    def test_declared_header_is_written_alone_when_no_rows(self, name, tmp_path):
+        header = next(c.header for c in COMMANDS if c.name == name)
+        full, empty = (tmp_path / "full.csv", tmp_path / "empty.csv")
+        for path, rows in zip((full, empty), self.HEADER_RUNS[name]):
+            path.write_text(HEADER + "\n" + rows + "\n")
+        out = tmp_path / "out"
+        main([name, "--input", str(full), "--format", "json", "--out", str(out)])
+        assert tuple(json.loads(out.read_text())[0]) == header
+        assert main([name, "--input", str(empty), "--out", str(out)]) == 0
+        assert out.read_text() == ",".join(header) + "\n"
+
     def test_decompose_fixture_anchor(self, tmp_path):
         out = tmp_path / "d.csv"
         assert main(["decompose", "--edition", "science", "--digits", "2", "--out", str(out)]) == 0

@@ -275,7 +275,7 @@ EXPECTED = {
         "": "c3303de7a7b9555234ce4e4d7835dc7ddc5ae1f64106c58ffe2827d1e1fa8959",
     },
     "validate-clean-csv": {
-        "": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "": "93fa70a31e7ecd4e8d0cc28fc5c00e89f7facc310a390a09ef5d0b5f62d69e2d",
     },
     "validate-clean-json": {
         "": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",

@@ -28,10 +28,10 @@ from conftest import (
 
 @st.composite
 def datasets(draw):
-    """Journals in codes A-D, some without reference fields, a few with no code."""
+    """Journals in codes A-D, some without reference fields."""
     journals = []
     for i in range(draw(st.integers(0, 12))):
-        codes = draw(st.lists(st.sampled_from("ABCD"), max_size=3, unique=True))
+        codes = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=3, unique=True))
         counts = [draw(st.integers(0, 10**6)) for _ in range(4)]
         refs = draw(st.sampled_from([None, (5, 4, 3), (0, 0, 0), (10**12, 10**11, 10**10)]))
         if refs is not None and draw(st.booleans()):  # one reference field absent

@@ -1,26 +1,44 @@
-import random
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cnifkit.core_model import JournalRecord, validate
+from cnifkit.core_model import COUNT_FIELDS, JournalRecord, Violation, validate
 
-from conftest import make_dataset, make_journal
+from conftest import make_dataset, make_journal, oracle_validate
+
+RECORD = dict(
+    id="j1",
+    name="J1",
+    categories=("A",),
+    items_t=1,
+    items_t1=1,
+    items_t2=1,
+    cited_in_window=1,
+    refs_total=3,
+    refs_jcr=2,
+    refs_jcr_in_window=1,
+)
 
 
-def test_empty_category_list_is_violation():
-    ds = make_dataset([make_journal("j1", ["A"], 5, 5, 10)])
-    bad = JournalRecord("j2", "J2", (), 1, 1, 1, 1)
-    ds = make_dataset([bad])
-    report = validate(ds)
-    assert any(v.rule == "empty category list" for v in report)
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("categories", (), "journal j1: empty category list")]
+    + [(name, -3, f"journal j1: negative count in {name}: -3") for name in COUNT_FIELDS],
+    ids=["categories", *COUNT_FIELDS],
+)
+def test_record_rejects_break_of_its_own_rules(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        JournalRecord(**{**RECORD, field: value})
 
 
-def test_refs_jcr_exceeding_total_is_violation():
-    j = make_journal("j1", ["A"], 5, 5, 10, refs=(5, 10, 2))
-    report = validate(make_dataset([j]))
-    assert any(v.rule == "refs_jcr exceeds refs_total" and v.record_id == "j1" for v in report)
+def test_row_breaking_both_reference_rules_has_two_violations_in_rule_order():
+    j = make_journal("j1", ["A"], 5, 5, 10, refs=(5, 10, 20))
+    assert validate(make_dataset([j])) == [
+        Violation("j1", "refs_jcr exceeds refs_total"),
+        Violation("j1", "refs_jcr_in_window exceeds refs_jcr"),
+    ]
 
 
 def test_well_formed_dataset_has_empty_report():
@@ -47,17 +65,23 @@ def test_repeated_category_code_rejected_at_construction():
             JournalRecord("j1", "J1", categories, 1, 1, 1, 1)
 
 
-def test_negative_counts_reported():
-    j = JournalRecord("j1", "J1", ("A",), 1, -3, 1, 1)
-    report = validate(make_dataset([j]))
-    assert any(v.rule == "negative count: items_t1" for v in report)
+REFERENCE_COUNT = st.none() | st.integers(0, 20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(REFERENCE_COUNT, REFERENCE_COUNT, REFERENCE_COUNT), max_size=8))
+@example([(5, 10, 20)])  # breaks both rules
+@example([(None, 10, 20), (5, None, 20), (5, 10, None)])
+def test_validate_equals_record_walk(refs):
+    journals = [make_journal(f"j{i}", ["A"], 1, 1, 1, refs=r) for i, r in enumerate(refs)]
+    assert validate(make_dataset(journals)) == oracle_validate(journals)
 
 
 @given(st.randoms(use_true_random=False))
 def test_validate_order_insensitive(rnd):
     journals = [
         make_journal("j1", ["A"], 5, 5, 10, refs=(5, 10, 2)),  # refs_jcr > refs_total
-        JournalRecord("j2", "J2", (), 1, 1, 1, 1),
+        make_journal("j2", ["A"], 1, 1, 1, refs=(10, 5, 7)),  # refs_jcr_in_window > refs_jcr
         make_journal("j3", ["A"], 1, 1, 1),
     ]
     baseline = sorted((v.record_id, v.rule) for v in validate(make_dataset(journals)))

@@ -71,6 +71,13 @@ with open(bundled_fixture_path(), encoding="utf-8", newline="") as _f:
 VALID_ROWS = _ROWS[:5] + [r for r in _ROWS if r[0] in ("S21", "SS1", "SS2", "SS7")]
 assert sum("-" in r for r in VALID_ROWS) == 2
 
+
+
+def test_fixture_header_is_bundled_first_line():
+    with open(bundled_fixture_path(), encoding="utf-8", newline="") as f:
+        assert f.readline() == ",".join(FIXTURE_HEADER) + "\r\n"
+
+
 ODD_NUMBERS = ["-", "nan", "NaN", "inf", "-inf", "1e999", "-1e999", "-1", "-0", "-0.0", "0"]
 ODD_NUMBERS += ["1.5", "-0.1", "1", "1.0000001", "x", "", " 7", "1_0", "1e-400", "1e308"]
 ODD_NUMBERS += [str(2**63 - 1), str(2**63), "9" * 400]

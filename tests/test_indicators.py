@@ -11,12 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cnifkit.core_model import (
-    CategoryAggregate,
-    ComponentVector,
-    JournalRecord,
-    UndefinedIndicatorError,
-)
+from cnifkit.core_model import CategoryAggregate, ComponentVector, UndefinedIndicatorError
 from cnifkit import indicators
 from cnifkit.cli import main
 from cnifkit.ingest import emit_journals_csv
@@ -378,13 +373,6 @@ class TestCnif:
             entries = rank_category(ds, code, "cnif")
             for a in entries:
                 assert a.rank == 1 + sum(exact[b.journal_id] > exact[a.journal_id] for b in entries)
-
-    def test_journal_without_category_is_named_as_cause(self):
-        ds = make_dataset([JournalRecord("j1", "J", (), 1, 1, 1, 1)])
-        with pytest.raises(
-            UndefinedIndicatorError, match="^journal j1: lists no category, CNIF undefined$"
-        ):
-            cnif(ds.journals[0], ds)
 
     def test_order_preserved_within_category_set(self):
         rng = random.Random(5)

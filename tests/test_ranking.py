@@ -126,7 +126,6 @@ class TestCompareGaps:
                 make_journal("j1", ["A", "B"], 1, 0, 5),
                 make_journal("j2", ["A"], 1, 0, 3),
                 make_journal("j3", ["B"], 1, 0, 4),
-                make_journal("j4", [], 1, 0, 2),  # in no category, so in no ranking
             ]
         )
         summary, reports = compare_gaps(ds)
