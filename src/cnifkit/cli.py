@@ -1,7 +1,8 @@
 """Command-line front end: ingest -> indicators -> ranking/stats -> reports.
 
 Each command is a ``COMMANDS`` entry whose row function returns the exit code
-and every output's rows; ``main`` writes them only after all are computed.
+and every output's columns and rows; ``main`` writes them only after all are
+computed.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ USAGE_ERROR = 2
 DATA_ERROR = 1
 COMPONENTS = ("a", "r", "p", "w", "b")
 
-Outputs = tuple[int, dict[str, list[dict]]]  # exit code, {--out suffix: rows}
+Table = tuple[tuple[str, ...], list[tuple]]  # column names, rows aligned with them
+Outputs = tuple[int, dict[str, Table]]  # exit code, {--out suffix: table}
 
 
 def round_away(x: float, digits: int) -> float:
@@ -86,14 +88,14 @@ def _fmt(x: Optional[float], digits: int) -> str:
     return "" if x is None else f"{round_away(x, digits):.{digits}f}"
 
 
-def _cells(obj, names, digits: int) -> dict[str, str]:
-    return {name: _fmt(getattr(obj, name), digits) for name in names}
+def _cells(obj, names, digits: int) -> tuple[str, ...]:
+    return tuple(_fmt(getattr(obj, name), digits) for name in names)
 
 
 def _validate_rows(args) -> Outputs:
     report = validate(ingest.read_csv(args.input, ingest.parse_journals_csv, strict=False))
-    rows = [{"record_id": v.record_id, "rule": v.rule} for v in report]
-    return (DATA_ERROR if report else 0), {"": rows}
+    rows = [(v.record_id, v.rule) for v in report]
+    return (DATA_ERROR if report else 0), {"": (("record_id", "rule"), rows)}
 
 
 def _indicator_rows(args) -> Outputs:
@@ -101,18 +103,18 @@ def _indicator_rows(args) -> Outputs:
     rows = []
     for code in dataset.category_codes():
         agg = indicators.category_aggregate(dataset, code)
-        row = {"category": code, "journals": len(dataset.member_rows(code))}
         try:
-            row["aif"] = _fmt(indicators.aggregate_impact_factor(agg), args.digits)
+            aif = _fmt(indicators.aggregate_impact_factor(agg), args.digits)
         except ValueError:  # UndefinedIndicatorError
-            row["aif"] = ""
+            aif = ""
         try:
-            row.update(_cells(indicators.components(agg), COMPONENTS, args.digits))
+            cells = _cells(indicators.components(agg), COMPONENTS, args.digits)
         except ValueError:
-            row.update(dict.fromkeys(COMPONENTS, ""))
-        row["reference_exclusions"] = agg.reference_exclusions
-        rows.append(row)
-    return 0, {"": rows}
+            cells = ("",) * len(COMPONENTS)
+        journals = len(dataset.member_rows(code))
+        rows.append((code, journals, aif, *cells, agg.reference_exclusions))
+    columns = ("category", "journals", "aif", *COMPONENTS, "reference_exclusions")
+    return 0, {"": (columns, rows)}
 
 
 def _decompose_rows(args) -> Outputs:
@@ -122,52 +124,39 @@ def _decompose_rows(args) -> Outputs:
         for code in dataset.category_codes():
             agg = indicators.category_aggregate(dataset, code)
             cv = indicators.components(agg)
-            rows.append(
-                {
-                    "category": code,
-                    **_cells(cv, COMPONENTS, args.digits),
-                    "product": _fmt(indicators.recompose(cv), args.digits),
-                    "aif": _fmt(indicators.aggregate_impact_factor(agg), args.digits),
-                }
-            )
-    else:
-        for r in _fixture(args):
-            pwb = (_fmt(v, args.digits) for v in indicators.fixture_reference_components(r))
-            rows.append({"category": r.code, **dict(zip("pwb", pwb))})
-    return 0, {"": rows}
+            product = _fmt(indicators.recompose(cv), args.digits)
+            aif = _fmt(indicators.aggregate_impact_factor(agg), args.digits)
+            rows.append((code, *_cells(cv, COMPONENTS, args.digits), product, aif))
+        return 0, {"": (("category", *COMPONENTS, "product", "aif"), rows)}
+    for r in _fixture(args):
+        pwb = (_fmt(v, args.digits) for v in indicators.fixture_reference_components(r))
+        rows.append((r.code, *pwb))
+    return 0, {"": (("category", "p", "w", "b"), rows)}
 
 
 def _cnif_rows(args) -> Outputs:
     dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
     ids = dataset.columns["id"]
+    scores = ("meta_aif", "jcr_aif", "score", "cnif")
     rows = []
     for i in sorted(range(len(ids)), key=ids.__getitem__):
         score = indicators.row_cnif(dataset, i)
-        rows.append(
-            {
-                "journal_id": score.journal_id,
-                "if": _fmt(score.if_value, args.digits),
-                **_cells(score, ("meta_aif", "jcr_aif", "score", "cnif"), args.digits),
-            }
-        )
-    return 0, {"": rows}
+        if_value = _fmt(score.if_value, args.digits)
+        rows.append((score.journal_id, if_value, *_cells(score, scores, args.digits)))
+    return 0, {"": (("journal_id", "if", *scores), rows)}
 
 
 def _rank_rows(args) -> Outputs:
     dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
+    # score_desc names the scorer: a higher score is a better (lower) percentile
+    columns = ("category", "journal_id", "score_desc", "score", "rank", "percentile")
+    d = args.digits
     rows = [
-        {
-            "category": e.category,
-            "journal_id": e.journal_id,
-            "score_desc": args.scorer,  # higher score = better (lower) percentile
-            "score": _fmt(e.score, args.digits),
-            "rank": e.rank,
-            "percentile": _fmt(e.percentile, args.digits),
-        }
+        (e.category, e.journal_id, args.scorer, _fmt(e.score, d), e.rank, _fmt(e.percentile, d))
         for code in dataset.category_codes()
         for e in ranking.rank_category(dataset, code, args.scorer)
     ]
-    return 0, {"": rows}
+    return 0, {"": (columns, rows)}
 
 
 def _gap_rows(args) -> Outputs:
@@ -179,19 +168,13 @@ def _gap_rows(args) -> Outputs:
     rows = []
     for r in reports:
         i = next(i for i in by_id if ids[i] == r.journal_id)
-        rows.append(
-            {
-                "journal_id": r.journal_id,
-                "categories": ";".join(categories[i]),
-                "if": _fmt(indicators.row_impact_factor(dataset, i), args.digits),
-                "cnif": _fmt(cnif_score(i), args.digits),
-                "gap_if": _fmt(r.gap_if, args.digits),
-                "gap_cnif": _fmt(r.gap_cnif, args.digits),
-            }
-        )
+        values = (indicators.row_impact_factor(dataset, i), cnif_score(i), r.gap_if, r.gap_cnif)
+        cells = (_fmt(v, args.digits) for v in values)
+        rows.append((r.journal_id, ";".join(categories[i]), *cells))
+    columns = ("journal_id", "categories", "if", "cnif", "gap_if", "gap_cnif")
     measures = ("max_gap_if", "max_gap_cnif", "mean_gap_if", "mean_gap_cnif", "fraction_reduced")
-    summary_row = {"journal_count": summary.journal_count, **_cells(summary, measures, args.digits)}
-    return 0, {"": rows, ".summary": [summary_row]}
+    summary_row = (summary.journal_count, *_cells(summary, measures, args.digits))
+    return 0, {"": (columns, rows), ".summary": (("journal_count", *measures), [summary_row])}
 
 
 def _corr_rows(args) -> Outputs:
@@ -200,24 +183,24 @@ def _corr_rows(args) -> Outputs:
         first, cell = "variable", lambda v: round_away(float(v), args.digits)
     else:  # the CSV header row starts with an empty cell
         first, cell = "", lambda v: _fmt(float(v), args.digits)
-    rows = [
-        {first: lab, **{c: cell(v) for c, v in zip(matrix.labels, matrix.values[i])}}
-        for i, lab in enumerate(matrix.labels)
-    ]
-    return 0, {"": rows}
+    rows = [(lab, *map(cell, matrix.values[i])) for i, lab in enumerate(matrix.labels)]
+    return 0, {"": ((first, *matrix.labels), rows)}
 
 
 def _pca_rows(args) -> Outputs:
     result = stats.pca_variance_shares(component_columns(_fixture(args)))
-    report = {
-        "labels": list(result.labels),
-        "eigenvalues": [round_away(float(v), 6) for v in result.eigen.eigenvalues],
-        "variance_shares": [round_away(float(v), 6) for v in result.eigen.variance_shares],
-        "loadings": [[round_away(float(v), 6) for v in col] for col in result.eigen.eigenvectors.T],
-        "assignment": list(result.assignment),
-        "attributed_shares": {k: round_away(v, 6) for k, v in result.attributed_shares.items()},
-    }
-    return 0, {"": [report]}
+    columns = (
+        "labels", "eigenvalues", "variance_shares", "loadings", "assignment", "attributed_shares"
+    )
+    report = (
+        list(result.labels),
+        [round_away(float(v), 6) for v in result.eigen.eigenvalues],
+        [round_away(float(v), 6) for v in result.eigen.variance_shares],
+        [[round_away(float(v), 6) for v in col] for col in result.eigen.eigenvectors.T],
+        list(result.assignment),
+        {k: round_away(v, 6) for k, v in result.attributed_shares.items()},
+    )
+    return 0, {"": (columns, [report])}
 
 
 def _ks_rows(args) -> Outputs:
@@ -225,79 +208,73 @@ def _ks_rows(args) -> Outputs:
     for name, col in component_columns(_fixture(args)).items():
         sample = [v for v in col if v is not None]
         res = stats.ks_normality(sample, alpha=args.alpha, lilliefors=args.lilliefors)
-        rows.append(
-            {
-                "component": name,
-                "n": res.sample_size,
-                **_cells(res, ("statistic", "critical_value"), args.digits),
-                "alpha": res.alpha,
-                "reject_normality": res.reject,
-            }
-        )
-    return 0, {"": rows}
+        cells = _cells(res, ("statistic", "critical_value"), args.digits)
+        rows.append((name, res.sample_size, *cells, res.alpha, res.reject))
+    columns = ("component", "n", "statistic", "critical_value", "alpha", "reject_normality")
+    return 0, {"": (columns, rows)}
 
 
 def _hist_rows(args) -> Outputs:
+    coverages = ("coverage_1s", "coverage_2s", "coverage_3s")
     rows = []
     for name, col in component_columns(_fixture(args)).items():
         h = stats.histogram_by_sd([v for v in col if v is not None])
-        rows.append(
-            {
-                "component": name,
-                "n": h.sample_size,
-                "dropped": len(col) - h.sample_size,
-                **_cells(h, ("mean", "sd"), args.digits),
-                **{f"bin{i}": c for i, c in enumerate(h.bin_counts)},
-                **_cells(h, ("coverage_1s", "coverage_2s", "coverage_3s"), 2),
-            }
-        )
-    return 0, {"": rows}
+        n, dropped = h.sample_size, len(col) - h.sample_size
+        mean_sd, shares = _cells(h, ("mean", "sd"), args.digits), _cells(h, coverages, 2)
+        rows.append((name, n, dropped, *mean_sd, *h.bin_counts, *shares))
+    bins = tuple(f"bin{i}" for i in range(8))  # the 8 sd bands of histogram_by_sd
+    return 0, {"": (("component", "n", "dropped", "mean", "sd", *bins, *coverages), rows)}
 
 
 def _cluster_rows(args) -> Outputs:
     complete = [r for r in _fixture(args) if r.is_complete()]
     vectors = list(zip(*component_columns(complete).values()))
     dendrogram = stats.ward_cluster([r.code for r in complete], vectors)
-    # each merge's fields in their order, the height shown at 6 digits
-    outputs = {"": [{**vars(m), "height": _fmt(m.height, 6)} for m in dendrogram.merges]}
+    # each merge's fields, the height shown at 6 digits
+    columns = ("left", "right", "height", "new_id", "size")
+    rows = [(m.left, m.right, _fmt(m.height, 6), m.new_id, m.size) for m in dendrogram.merges]
+    outputs = {"": (columns, rows)}
     if args.k is not None or args.height is not None:
         cut = stats.cut_dendrogram(dendrogram, k=args.k, height=args.height)
-        outputs[".clusters"] = [{"label": lab, "cluster": c} for lab, c in sorted(cut.items())]
+        outputs[".clusters"] = (("label", "cluster"), sorted(cut.items()))
     return 0, outputs
 
 
 # The reproductions share one rule: a check that misses its reference is a
 # MISMATCH row, and any MISMATCH row makes the command exit 1.
-def _check(key: dict, got: float, want: float, tolerance: float, digits: tuple[int, int]) -> dict:
-    """A check row: its key columns, both values at the given digits, and its status."""
-    shown = {"computed": f"{got:.{digits[0]}f}", "reference": f"{want:.{digits[1]}f}"}
-    return {**key, **shown, "status": "ok" if abs(got - want) <= tolerance else "MISMATCH"}
+CHECK_COLUMNS = ("computed", "reference", "status")
 
 
-def _checked(rows: list[dict]) -> Outputs:
-    return (DATA_ERROR if any(r["status"] == "MISMATCH" for r in rows) else 0), {"": rows}
+def _check(key: tuple, got: float, want: float, tolerance: float, digits: tuple[int, int]) -> tuple:
+    """A check row: its key cells, both values at the given digits, and its status."""
+    status = "ok" if abs(got - want) <= tolerance else "MISMATCH"
+    return (*key, f"{got:.{digits[0]}f}", f"{want:.{digits[1]}f}", status)
+
+
+def _checked(columns: tuple[str, ...], rows: list[tuple]) -> Outputs:
+    """The exit code and output of rows whose last cell is their status."""
+    return (DATA_ERROR if any(r[-1] == "MISMATCH" for r in rows) else 0), {"": (columns, rows)}
 
 
 def _table1_rows(args) -> Outputs:
     fixture = _fixture(args)
     rows = []
     for r in fixture:
-        row = {"category": r.code}
+        cells = []
         ok = True
         computed = indicators.fixture_reference_components(r)
-        for name, value, printed in zip("pwb", computed, (r.printed_p, r.printed_w, r.printed_b)):
+        for value, printed in zip(computed, (r.printed_p, r.printed_w, r.printed_b)):
             if printed is None:
-                row[name] = "absent"
+                cells.append("absent")
                 continue
             rounded = round_away(value, 2)
             match = abs(rounded - printed) <= 0.01 + 1e-12
-            row[name] = f"{rounded:.2f}" + ("" if match else f"!={printed:.2f}")
+            cells.append(f"{rounded:.2f}" + ("" if match else f"!={printed:.2f}"))
             ok = ok and match
-        row["status"] = "ok" if ok else "MISMATCH"
-        rows.append(row)
-    total = f"{sum(r['status'] == 'MISMATCH' for r in rows)} mismatches / {len(fixture)} rows"
-    rows.append({"category": "TOTAL", "p": "", "w": "", "b": "", "status": total})
-    return _checked(rows)
+        rows.append((r.code, *cells, "ok" if ok else "MISMATCH"))
+    total = f"{sum(r[-1] == 'MISMATCH' for r in rows)} mismatches / {len(fixture)} rows"
+    rows.append(("TOTAL", "", "", "", total))
+    return _checked(("category", "p", "w", "b", "status"), rows)
 
 
 def _table3_rows(args) -> Outputs:
@@ -307,15 +284,15 @@ def _table3_rows(args) -> Outputs:
         columns = component_columns(edition_rows(fixture, edition))
         matrix = stats.correlation_matrix(columns)
         for (x, y), want in reference.CORRELATIONS[edition].items():
-            key = {"edition": edition, "check": f"corr({x},{y})"}
+            key = (edition, f"corr({x},{y})")
             got = matrix.get(x, y)
             rows.append(_check(key, got, want, reference.CORRELATION_TOLERANCE, (4, 2)))
         top_k, want = reference.PCA_TOP_SHARE[edition]
         shares = sorted(stats.pca_variance_shares(columns).attributed_shares.values(), reverse=True)
-        key = {"edition": edition, "check": f"pca top-{top_k} share"}
+        key = (edition, f"pca top-{top_k} share")
         got = sum(shares[:top_k])
         rows.append(_check(key, got, want, reference.PCA_TOP_SHARE_TOLERANCE, (4, 4)))
-    return _checked(rows)
+    return _checked(("edition", "check", *CHECK_COLUMNS), rows)
 
 
 def _table4_rows(args) -> Outputs:
@@ -325,10 +302,10 @@ def _table4_rows(args) -> Outputs:
         for name, col in component_columns(edition_rows(fixture, edition)).items():
             h = stats.histogram_by_sd([v for v in col if v is not None])
             for band, want in zip(("1s", "2s", "3s"), reference.SD_COVERAGE[edition][name]):
-                key = {"edition": edition, "component": name, "band": band}
+                key = (edition, name, band)
                 got = getattr(h, f"coverage_{band}")
                 rows.append(_check(key, got, want, reference.SD_COVERAGE_TOLERANCE, (2, 2)))
-    return _checked(rows)
+    return _checked(("edition", "component", "band", *CHECK_COLUMNS), rows)
 
 
 @dataclass(frozen=True)
@@ -338,7 +315,6 @@ class Command:
     source: str = "--fixture"  # or "--input", which is then required
     extra: tuple[str, ...] = ()  # flags of ARGUMENTS
     fmt: Optional[str] = None  # the only --format the command writes
-    header: tuple[str, ...] = ()  # the CSV header of the main output, written when it has no rows
 
 
 ARGUMENTS = {
@@ -353,18 +329,12 @@ ARGUMENTS = {
 }
 
 COMMANDS = (
-    Command("validate", _validate_rows, "--input", header=("record_id", "rule")),
+    Command("validate", _validate_rows, "--input"),
     Command("indicators", _indicator_rows, "--input", extra=("--digits",)),
     Command("decompose", _decompose_rows, extra=("--input", "--edition", "--digits")),
     Command("cnif", _cnif_rows, "--input", extra=("--digits",)),
     Command("rank", _rank_rows, "--input", extra=("--scorer", "--digits")),
-    Command(
-        "gap",
-        _gap_rows,
-        "--input",
-        extra=("--digits",),
-        header=("journal_id", "categories", "if", "cnif", "gap_if", "gap_cnif"),
-    ),
+    Command("gap", _gap_rows, "--input", extra=("--digits",)),
     Command("stats corr", _corr_rows, extra=("--edition", "--digits")),
     Command("stats pca", _pca_rows, extra=("--edition",), fmt="json"),
     Command("stats ks", _ks_rows, extra=("--edition", "--alpha", "--lilliefors", "--digits")),
@@ -429,11 +399,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     written = []
     try:
         code, outputs = args.run.rows(args)
-        for suffix, rows in outputs.items():
-            header = () if suffix else args.run.header
+        for suffix, (columns, rows) in outputs.items():
             if args.out is None:
                 try:
-                    ingest.emit_report(rows, args.format, sys.stdout, header)
+                    ingest.emit_report(columns, rows, args.format, sys.stdout)
                     sys.stdout.flush()
                 except BrokenPipeError:  # the reader stopped early, as `| head` does
                     with open(os.devnull, "w") as devnull:  # so the flush at exit is silent
@@ -442,7 +411,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 continue
             with open(args.out + suffix, "w", encoding="utf-8") as f:
                 written.append(f.name)
-                ingest.emit_report(rows, args.format, f, header)
+                ingest.emit_report(columns, rows, args.format, f)
         return code
     except FileNotFoundError as exc:
         message, code = f"file not found: {exc.filename}", USAGE_ERROR

@@ -53,13 +53,6 @@ class JournalRecord:
     def items_window(self) -> int:
         return self.items_t1 + self.items_t2
 
-    def has_reference_fields(self) -> bool:
-        return (
-            self.refs_total is not None
-            and self.refs_jcr is not None
-            and self.refs_jcr_in_window is not None
-        )
-
 
 @dataclass(frozen=True)
 class CategoryAggregate:

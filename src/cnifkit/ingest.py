@@ -259,34 +259,29 @@ def emit_journals_csv(dataset: Dataset, stream: IO[str]) -> None:
     writer.writerows(zip(c["id"], c["name"], codes, *(c[name] for name in COUNT_FIELDS)))
 
 
-def emit_report(
-    rows: Sequence[dict], fmt: str, stream: IO[str], header: Sequence[str] = ()
-) -> None:
-    """Write report rows as CSV or JSON, one row at a time.
+def emit_report(columns: Sequence[str], rows: Sequence[tuple], fmt: str, stream: IO[str]) -> None:
+    """Write report rows, each aligned with ``columns``, as CSV or JSON.
 
-    CSV columns are the keys of the first row, in order; a row without one of
-    them, or with ``None`` in it, gets an empty cell.  No rows write the
-    ``header`` line alone, or nothing if it is empty.  JSON is exactly
-    ``json.dump(rows, stream, indent=2)`` and a newline.
+    CSV is the header line, then one line per row; ``None`` is an empty cell.
+    JSON is exactly ``json.dump([dict(zip(columns, row)) for row in rows],
+    stream, indent=2)`` and a newline, written one row at a time.
     """
     if fmt == "json":
         sep = "[\n  "
         for row in rows:
             # json.dumps escapes newlines inside strings, so each one here starts a line
-            stream.write(sep + json.dumps(row, indent=2).replace("\n", "\n  "))
+            stream.write(sep + json.dumps(dict(zip(columns, row)), indent=2).replace("\n", "\n  "))
             sep = ",\n  "
         stream.write("\n]\n" if rows else "[]\n")
     elif fmt == "csv":
-        if rows or header:
-            keys = list(rows[0]) if rows else header
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(keys)
-            writer.writerows([row.get(k) for k in keys] for row in rows)
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
     else:
         raise ValueError(f"unknown format: {fmt!r}")
 
 
-def dumps_report(rows: Sequence[dict], fmt: str) -> str:
+def dumps_report(columns: Sequence[str], rows: Sequence[tuple], fmt: str) -> str:
     buf = io.StringIO()
-    emit_report(rows, fmt, buf)
+    emit_report(columns, rows, fmt, buf)
     return buf.getvalue()

@@ -72,7 +72,7 @@ def oracle_aggregate(journals, code: str) -> CategoryAggregate:
         sums["a_t1"] += j.items_t1
         sums["a_t2"] += j.items_t2
         sums["ncited"] += j.cited_in_window
-        if j.has_reference_fields():
+        if None not in (j.refs_total, j.refs_jcr, j.refs_jcr_in_window):
             sums["refs_total"] += j.refs_total
             sums["refs_jcr"] += j.refs_jcr
             sums["nciting"] += j.refs_jcr_in_window

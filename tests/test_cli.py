@@ -383,23 +383,49 @@ class TestCommands:
         body = out.read_text().splitlines()
         assert body[1].split(",")[0] == "j1"  # only multi-category journal
 
-    # each command's input rows: one run with report rows, one without
-    HEADER_RUNS = {
-        "validate": ("j1,J,A,1,1,1,1,10,20,5", "j1,J,A,1,1,1,1,20,10,5"),  # refs_jcr > refs_total
-        "gap": ("j1,J,A;B,1,1,1,1,,,\nj2,K,A,1,1,1,2,,,", "j1,J,A,1,1,1,1,,,\nj2,K,B,1,1,1,2,,,"),
-    }
+    # every command that reads a journal CSV, as argv without --input
+    JOURNAL_COMMANDS = (
+        ["validate"],
+        ["indicators"],
+        ["decompose"],
+        ["cnif"],
+        ["rank", "--scorer", "if"],
+        ["rank", "--scorer", "cnif"],
+        ["gap"],
+    )
 
-    @pytest.mark.parametrize("name", sorted(HEADER_RUNS))
-    def test_declared_header_is_written_alone_when_no_rows(self, name, tmp_path):
-        header = next(c.header for c in COMMANDS if c.name == name)
-        full, empty = (tmp_path / "full.csv", tmp_path / "empty.csv")
-        for path, rows in zip((full, empty), self.HEADER_RUNS[name]):
-            path.write_text(HEADER + "\n" + rows + "\n")
-        out = tmp_path / "out"
-        main([name, "--input", str(full), "--format", "json", "--out", str(out)])
-        assert tuple(json.loads(out.read_text())[0]) == header
-        assert main([name, "--input", str(empty), "--out", str(out)]) == 0
-        assert out.read_text() == ",".join(header) + "\n"
+    @pytest.mark.parametrize("argv", JOURNAL_COMMANDS, ids=" ".join)
+    def test_csv_header_names_the_json_keys_and_is_written_without_rows(self, argv, tmp_path):
+        full, empty = tmp_path / "full.csv", tmp_path / "empty.csv"
+        # validate reports a row only for a broken rule: refs_jcr > refs_total
+        full.write_text(HEADER + "\nj1,J,A,1,1,1,1,10,20,5\n" if argv == ["validate"] else SAMPLE)
+        empty.write_text(HEADER + "\n")
+
+        def run(source, fmt) -> dict[str, str]:
+            """Each output's text by its --out suffix."""
+            out = tmp_path / "out"
+            code = main([*argv, "--input", str(source), "--format", fmt, "--out", str(out)])
+            assert code == (1 if source == full and argv == ["validate"] else 0)
+            outputs = {p.name[len("out") :]: p.read_text() for p in tmp_path.glob("out*")}
+            for path in tmp_path.glob("out*"):
+                path.unlink()
+            return outputs
+
+        full_json, full_csv = run(full, "json"), run(full, "csv")
+        empty_json, empty_csv = run(empty, "json"), run(empty, "csv")
+        suffixes = {"", ".summary"} if argv == ["gap"] else {""}
+        assert full_json.keys() == full_csv.keys() == empty_json.keys() == empty_csv.keys() == suffixes
+        for suffix in suffixes:
+            rows = json.loads(full_json[suffix])
+            assert rows
+            header = ",".join(rows[0]) + "\n"
+            assert full_csv[suffix].startswith(header)
+            if suffix == ".summary":  # one row at any size: the count and its measures
+                assert empty_csv[suffix].startswith(header)
+                assert json.loads(empty_json[suffix])[0]["journal_count"] == 0
+            else:
+                assert empty_csv[suffix] == header
+                assert empty_json[suffix] == "[]\n"
 
     def test_decompose_fixture_anchor(self, tmp_path):
         out = tmp_path / "d.csv"

@@ -8,6 +8,9 @@ Whatever the input, no exception escapes ``cli.main``, the exit code is 0, 1
 or 2, a failed command prints exactly one ``error: `` line and leaves no
 ``--out`` file, and a command exits 1 without an error line only for a
 verdict it writes: validate's violations or a reproduction's mismatches.
+
+Fixed odd values of --digits, --alpha, --k and --height, and an --out path
+in a missing directory, are held to the same rules.
 """
 import contextlib
 import io
@@ -15,6 +18,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,3 +117,48 @@ def test_fuzzed_input_exits_cleanly(run):
     else:
         assert code == 0 or (code == 1 and argv[0] in VERDICT_COMMANDS), err.getvalue()
         assert "result" in written
+
+
+# each option with a command that takes it, and whether that command reads --input
+OPTION_COMMANDS = {
+    "--digits": (["cnif"], "--input"),
+    "--alpha": (["stats", "ks"], "--fixture"),
+    "--k": (["stats", "cluster"], "--fixture"),
+    "--height": (["stats", "cluster"], "--fixture"),
+}
+ODD_OPTION_VALUES = ["0", "-1", "18", "10**400", "nan", "inf", "-0.0", "5e-324", "", "é"]
+
+
+def run_cleanly(argv: list[str], capsys, out_dir: Path) -> int:
+    """Run argv in-process and check the outcome: no traceback, exit 0, 1 or 2,
+    and an ``error:`` exit leaves nothing in ``out_dir``."""
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code in (0, 1, 2)
+    if "error:" in err:
+        assert code in (1, 2) and not any(out_dir.iterdir()), err
+    return code
+
+
+@pytest.mark.parametrize("value", ODD_OPTION_VALUES, ids=ascii)
+@pytest.mark.parametrize("flag", sorted(OPTION_COMMANDS))
+def test_odd_option_value_exits_cleanly(flag, value, tmp_path, capsys):
+    argv, source = OPTION_COMMANDS[flag]
+    lines = JOURNAL_LINES if source == "--input" else FIXTURE_LINES
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    value = str(10**400) if value == "10**400" else value
+    # the = form passes the empty string and values that start with "-" as values
+    run_cleanly([*argv, source, str(path), f"{flag}={value}", "--out", str(out_dir / "r")], capsys, out_dir)
+
+
+def test_out_into_missing_directory_exits_cleanly(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join(JOURNAL_LINES) + "\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "missing" / "r"  # gap would write r and r.summary
+    assert run_cleanly(["gap", "--input", str(path), "--out", str(out)], capsys, out_dir) == 2

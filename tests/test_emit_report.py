@@ -9,22 +9,18 @@ from hypothesis import strategies as st
 from cnifkit.ingest import dumps_report
 
 
-def oracle_dumps_report(rows, fmt):
-    """The writer as it was before it streamed: copy every row, then dump the
-    whole list at once."""
+def oracle_dumps_report(columns, rows, fmt):
+    """The writer as it was before it streamed: make every row a dict, then
+    dump the whole list at once."""
     stream = io.StringIO()
-    records = [dict(r) for r in rows]
     if fmt == "json":
-        json.dump(records, stream, indent=2)
+        json.dump([dict(zip(columns, row)) for row in rows], stream, indent=2)
         stream.write("\n")
         return stream.getvalue()
     writer = csv.writer(stream, lineterminator="\n")
-    if not records:
-        return ""
-    keys = list(records[0])
-    writer.writerow(keys)
-    for rec in records:
-        writer.writerow(["" if rec.get(k) is None else rec.get(k) for k in keys])
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(["" if v is None else v for v in row])
     return stream.getvalue()
 
 
@@ -37,27 +33,34 @@ VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
     max_leaves=12,
 )
-# rows drawing keys from one small pool share some keys and miss others
 KEYS = st.sampled_from(["a", "b", "", "c,d", 'q"t', "n\nl", "é"]) | TEXT
-ROWS = st.lists(st.dictionaries(KEYS, VALUES, max_size=5), max_size=6)
+COLUMNS = st.lists(KEYS, unique=True, max_size=5).map(tuple)
+
+
+@st.composite
+def tables(draw):
+    """Column names and rows of as many cells."""
+    columns = draw(COLUMNS)
+    row = st.tuples(*[VALUES] * len(columns))
+    return columns, draw(st.lists(row, max_size=6))
 
 
 @settings(max_examples=200, deadline=None)
-@given(ROWS, st.sampled_from(["csv", "json"]))
-def test_streaming_writer_matches_whole_list_writer(rows, fmt):
-    assert dumps_report(rows, fmt).encode("utf-8") == oracle_dumps_report(rows, fmt).encode("utf-8")
+@given(tables(), st.sampled_from(["csv", "json"]))
+def test_streaming_writer_matches_whole_list_writer(table, fmt):
+    columns, rows = table
+    got = dumps_report(columns, rows, fmt)
+    assert got.encode("utf-8") == oracle_dumps_report(columns, rows, fmt).encode("utf-8")
 
 
 def test_empty_rows():
-    assert dumps_report([], "json") == oracle_dumps_report([], "json") == "[]\n"
-    assert dumps_report([], "csv") == oracle_dumps_report([], "csv") == ""
+    columns = ("code", "ncited")
+    assert dumps_report(columns, [], "json") == oracle_dumps_report(columns, [], "json") == "[]\n"
+    assert dumps_report(columns, [], "csv") == oracle_dumps_report(columns, [], "csv") == "code,ncited\n"
 
 
 def test_pca_shaped_row():
-    row = {
-        "labels": ["a", "r"],
-        "loadings": [[0.5, -0.5], []],
-        "attributed_shares": {"a": 0.25, "r": None},
-        "empty": {},
-    }
-    assert dumps_report([row, row], "json") == oracle_dumps_report([row, row], "json")
+    columns = ("labels", "loadings", "attributed_shares", "empty")
+    row = (["a", "r"], [[0.5, -0.5], []], {"a": 0.25, "r": None}, {})
+    got = dumps_report(columns, [row, row], "json")
+    assert got == oracle_dumps_report(columns, [row, row], "json")

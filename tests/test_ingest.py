@@ -110,17 +110,17 @@ def test_fixture_anchor_rows(fixture_by_code):
 
 
 def test_emit_report_empty_json():
-    assert dumps_report([], "json") == "[]\n"
+    assert dumps_report(("code", "ncited"), [], "json") == "[]\n"
 
 
 def test_emit_report_csv_single_row():
-    out = dumps_report([{"code": "S1", "ncited": 5}], "csv")
+    out = dumps_report(("code", "ncited"), [("S1", 5)], "csv")
     assert out == "code,ncited\nS1,5\n"
 
 
 def test_emit_report_unknown_format():
     with pytest.raises(ValueError):
-        dumps_report([], "xml")
+        dumps_report(("code",), [], "xml")
 
 
 @st.composite
