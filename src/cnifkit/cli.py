@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import Callable, Optional
 
 from . import indicators, ingest, ranking, reference, stats
-from .core_model import Edition, validate
+from .core_model import Edition, clip, validate
 from .ingest import CategoryFixtureRow
 
 USAGE_ERROR = 2
@@ -53,15 +53,19 @@ def component_columns(rows: list[CategoryFixtureRow]) -> dict[str, list[Optional
     return {k: list(map(attrgetter(f"printed_{k}"), rows)) for k in COMPONENTS}
 
 
-def _digits(value: str) -> int:
+def _integer(value: str) -> int:
     try:
-        n = int(value)
+        return int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {clip(value)!r}") from None
+
+
+def _digits(value: str) -> int:
+    n = _integer(value)
     if n < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {n}")
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {clip(n)}")
     if n > 17:  # no double carries more decimals, and |x| * 10**17 stays finite
-        raise argparse.ArgumentTypeError(f"must be at most 17, got {n}")
+        raise argparse.ArgumentTypeError(f"must be at most 17, got {clip(n)}")
     return n
 
 
@@ -71,16 +75,16 @@ def _number(value: str) -> float:
     except ValueError:
         x = math.nan
     if math.isnan(x):
-        raise argparse.ArgumentTypeError(f"not a number: {value!r}")
+        raise argparse.ArgumentTypeError(f"not a number: {clip(value)!r}")
     return x
 
 
 def _alpha(value: str) -> float:
     x = _number(value)
     if not 0 < x < 1:
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {clip(value)}")
     if x / 2 == 0:  # the KS critical value takes log(alpha / 2)
-        raise argparse.ArgumentTypeError(f"too small: alpha / 2 underflows to 0, got {value}")
+        raise argparse.ArgumentTypeError(f"too small: alpha / 2 underflows to 0, got {clip(value)}")
     return x
 
 
@@ -148,13 +152,14 @@ def _cnif_rows(args) -> Outputs:
 
 def _rank_rows(args) -> Outputs:
     dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
+    column, ids = ranking.score_column(dataset, args.scorer), dataset.columns["id"]
     # score_desc names the scorer: a higher score is a better (lower) percentile
     columns = ("category", "journal_id", "score_desc", "score", "rank", "percentile")
     d = args.digits
     rows = [
-        (e.category, e.journal_id, args.scorer, _fmt(e.score, d), e.rank, _fmt(e.percentile, d))
+        (code, jid, args.scorer, _fmt(s, d), rank, _fmt(pct, d))
         for code in dataset.category_codes()
-        for e in ranking.rank_category(dataset, code, args.scorer)
+        for s, jid, rank, pct in ranking._ranked(column, ids, dataset.member_rows(code))
     ]
     return 0, {"": (columns, rows)}
 
@@ -162,14 +167,14 @@ def _rank_rows(args) -> Outputs:
 def _gap_rows(args) -> Outputs:
     dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
     summary, reports = ranking.compare_gaps(dataset)
-    cnif_score = ranking.score_function(dataset, "cnif")
+    # compare_gaps ranked every row, so both columns hold only floats
+    by_if, by_cnif = ranking.score_column(dataset, "if"), ranking.score_column(dataset, "cnif")
     ids, categories = dataset.columns["id"], dataset.columns["categories"]
     by_id = iter(sorted(range(len(ids)), key=ids.__getitem__))  # compare_gaps reports in id order
     rows = []
     for r in reports:
         i = next(i for i in by_id if ids[i] == r.journal_id)
-        values = (indicators.row_impact_factor(dataset, i), cnif_score(i), r.gap_if, r.gap_cnif)
-        cells = (_fmt(v, args.digits) for v in values)
+        cells = (_fmt(v, args.digits) for v in (by_if[i], by_cnif[i], r.gap_if, r.gap_cnif))
         rows.append((r.journal_id, ";".join(categories[i]), *cells))
     columns = ("journal_id", "categories", "if", "cnif", "gap_if", "gap_cnif")
     measures = ("max_gap_if", "max_gap_cnif", "mean_gap_if", "mean_gap_cnif", "fraction_reduced")
@@ -324,7 +329,7 @@ ARGUMENTS = {
     "--scorer": {"choices": ranking.SCORERS, "default": "if"},
     "--alpha": {"type": _alpha, "default": 0.05},
     "--lilliefors": {"action": "store_true"},
-    "--k": {"type": int},
+    "--k": {"type": _integer},
     "--height": {"type": _number},
 }
 

@@ -15,6 +15,13 @@ class UndefinedIndicatorError(ValueError):
     """A denominator required by an indicator is zero."""
 
 
+def clip(value, width: int = 20) -> str:
+    """``str(value)`` as an error message echoes it: cut to ``width``
+    characters, the last three "...", when it is longer."""
+    text = str(value)
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
 @dataclass(frozen=True, slots=True)
 class JournalRecord:
     """One journal's per-year counts and category memberships.
@@ -54,7 +61,7 @@ class JournalRecord:
         return self.items_t1 + self.items_t2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CategoryAggregate:
     """Summed raw counts for a category or meta-category.
 
@@ -116,7 +123,7 @@ class Dataset:
     must not change them.  Journal ids are unique: construction raises
     ``ValueError`` on a repeat.  ``_cache`` holds values derived from the
     columns on first use: the records here, the category table in
-    ``indicators`` and the CNIF scores in ``ranking``.  It is left out of
+    ``indicators`` and the score columns in ``ranking``.  It is left out of
     equality and repr, and stays valid only because nothing changes the
     columns after construction.
     """

@@ -223,8 +223,32 @@ def row_cnif(dataset: Dataset, row: int) -> NormalizedScore:
     return _cnif(dataset, c["id"][row], c["categories"][row], c["cited_in_window"][row], items)
 
 
+def row_cnif_value(dataset: Dataset, row: int) -> float:
+    """``row_cnif(dataset, row).cnif``, the same float, with no ``NormalizedScore`` built."""
+    c = dataset.columns
+    journal_id, cited = c["id"][row], c["cited_in_window"][row]
+    items = c["items_t1"][row] + c["items_t2"][row]
+    _impact_factor(journal_id, cited, items)
+    num, den = _score_terms(dataset, journal_id, c["categories"][row])[2:]
+    return num * cited / (den * items)
+
+
 def _cnif(dataset: Dataset, journal_id: str, codes, cited: int, items: int) -> NormalizedScore:
     if_value = _impact_factor(journal_id, cited, items)
+    jcr_aif, meta_aif, num, den = _score_terms(dataset, journal_id, codes)
+    return NormalizedScore(
+        journal_id=journal_id,
+        if_value=if_value,
+        meta_aif=meta_aif,
+        jcr_aif=jcr_aif,
+        score=num / den,
+        cnif=num * cited / (den * items),
+    )
+
+
+def _score_terms(dataset: Dataset, journal_id: str, codes) -> tuple[float, float, int, int]:
+    """The whole-database AIF, the AIF of the union of the codes, and the
+    exact numerator and denominator of their ratio, the journal's score."""
     if not dataset.columns["id"]:
         raise UndefinedIndicatorError("empty dataset has no whole-database aggregate")
     by_code, jcr = _table(dataset)
@@ -251,15 +275,7 @@ def _cnif(dataset: Dataset, journal_id: str, codes, cited: int, items: int) -> N
             f"journal {journal_id}: zero meta-category AIF, normalization undefined"
         )
     # score = (jcr cited / jcr items) / (union cited / union items), cnif = score * IF
-    num, den = jcr.ncited * union_items, jcr.items_window * union_cited
-    return NormalizedScore(
-        journal_id=journal_id,
-        if_value=if_value,
-        meta_aif=meta_aif,
-        jcr_aif=jcr_aif,
-        score=num / den,
-        cnif=num * cited / (den * items),
-    )
+    return jcr_aif, meta_aif, jcr.ncited * union_items, jcr.items_window * union_cited
 
 
 def fixture_reference_components(row) -> tuple[float, float, float]:

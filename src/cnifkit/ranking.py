@@ -1,13 +1,14 @@
 """Per-category rankings, percentiles, and the cross-category gap metric."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable
+from operator import neg
+from typing import Iterable, Iterator
 
-from .core_model import Dataset
+from .core_model import Dataset, UndefinedIndicatorError
 # the benchmark tracer in perfbench/ patches ``ranking.cnif``, so the name stays bound
-from .indicators import cnif, row_cnif, row_impact_factor  # noqa: F401
+from .indicators import cnif, row_cnif_value, row_impact_factor  # noqa: F401
 
 SCORERS = ("if", "cnif")
 
@@ -38,46 +39,53 @@ class GapSummary:
     fraction_reduced: float
 
 
-def score_function(dataset: Dataset, name: str) -> Callable[[int], float]:
-    """The score of a journal's row under ``rank_category``'s ``scorer`` name;
-    the CNIF scores of multi-category journals are kept by row, so each is
-    computed once."""
-    if name == "if":
-        return partial(row_impact_factor, dataset)
-    if name == "cnif":
-        categories = dataset.columns["categories"]
-        scores = dataset._cache.setdefault("cnif", {})
+def score_column(dataset: Dataset, name: str) -> list:
+    """Each row's score under the scorer ``name``, computed once per dataset.
 
-        def cnif_score(row: int) -> float:
-            if len(categories[row]) == 1:
-                return row_cnif(dataset, row).cnif
-            s = scores.get(row)
-            if s is None:
-                s = scores[row] = row_cnif(dataset, row).cnif
-            return s
+    A row whose score is undefined holds its error message instead; ranking
+    a category raises it, as ``UndefinedIndicatorError``, at the first such
+    member.
+    """
+    if name not in SCORERS:
+        raise ValueError(f"unknown scorer: {name!r}")
+    key = f"{name} scores"
+    column = dataset._cache.get(key)
+    if column is None:
+        score = row_impact_factor if name == "if" else row_cnif_value
+        column = []
+        for row in range(len(dataset.columns["id"])):
+            try:
+                column.append(score(dataset, row))
+            except UndefinedIndicatorError as exc:
+                column.append(str(exc))
+        dataset._cache[key] = column  # only once every row has its score
+    return column
 
-        return cnif_score
-    raise ValueError(f"unknown scorer: {name!r}")
+
+def _ranked(column: list, ids: tuple, rows: list[int]) -> Iterator[tuple[float, str, int, float]]:
+    """``(score, journal_id, rank, percentile)`` of each of the rows, ranked
+    as ``rank_category`` ranks a category's members."""
+    scores = [column[i] for i in rows]
+    try:
+        ranked = sorted(zip(map(neg, scores), [ids[i] for i in rows]))
+    except TypeError:  # a message, not a float: the first undefined score aborts
+        raise UndefinedIndicatorError(next(s for s in scores if isinstance(s, str))) from None
+    n = len(ranked)
+    rank, last = 0, None
+    for pos, (key, jid) in enumerate(ranked, start=1):
+        if key != last:
+            rank, last = pos, key
+        yield -key, jid, rank, rank / n * 100.0
 
 
 def rank_category(dataset: Dataset, category: str, scorer: str = "if") -> list[RankingEntry]:
-    """Rank category members descending by score with competition ranking.
-
-    Tied scores share the smallest rank of their block ("1,1,3"), and the
-    percentile is rank over category size times 100, so lower is better.
-    """
+    """Rank category members descending by score with competition ranking,
+    ties by journal id: tied scores share the smallest rank of their block
+    ("1,1,3"), and the percentile is rank over category size times 100."""
     rows = dataset.member_rows(category)
-    score = score_function(dataset, scorer)
-    ids = dataset.columns["id"]
-    scored = sorted(((score(i), ids[i]) for i in rows), key=lambda t: (-t[0], t[1]))
-    n = len(scored)
-    out = []
-    rank = 1
-    for pos, (s, jid) in enumerate(scored, start=1):
-        if pos > 1 and s < scored[pos - 2][0]:
-            rank = pos
-        out.append(RankingEntry(jid, category, s, rank, rank / n * 100.0))
-    return out
+    column = score_column(dataset, scorer)
+    ranked = _ranked(column, dataset.columns["id"], rows)
+    return [RankingEntry(jid, category, s, rank, pct) for s, jid, rank, pct in ranked]
 
 
 def gap(journal_id: str, rankings: Iterable[list[RankingEntry]]) -> float:
@@ -90,11 +98,16 @@ def gap(journal_id: str, rankings: Iterable[list[RankingEntry]]) -> float:
 
 def _journal_gaps(dataset: Dataset, scorer: str) -> dict[str, float]:
     """Each ranked journal's gap under the scorer, keyed by journal id."""
-    pcts: dict[str, list[float]] = {}
+    column, ids = score_column(dataset, scorer), dataset.columns["id"]
+    lo: dict[str, float] = {}
+    hi: dict[str, float] = {}
     for code in dataset.category_codes():
-        for e in rank_category(dataset, code, scorer):
-            pcts.setdefault(e.journal_id, []).append(e.percentile)
-    return {jid: max(p) - min(p) for jid, p in pcts.items()}
+        for _, jid, _, pct in _ranked(column, ids, dataset.member_rows(code)):
+            if pct < lo.get(jid, math.inf):
+                lo[jid] = pct
+            if pct > hi.get(jid, -math.inf):
+                hi[jid] = pct
+    return {jid: hi[jid] - p for jid, p in lo.items()}
 
 
 def compare_gaps(dataset: Dataset) -> tuple[GapSummary, list[GapReport]]:

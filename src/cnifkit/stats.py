@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from .core_model import clip
+
 # numpy loads inside each kernel, so the journal commands never import it
 if TYPE_CHECKING:
     import numpy as np
@@ -276,7 +278,7 @@ def cut_dendrogram(
         raise ValueError("give exactly one of k or height")
     if k is not None:
         if not 1 <= k <= n:
-            raise ValueError(f"k must lie in [1, {n}], got {k}")
+            raise ValueError(f"k must lie in [1, {n}], got {clip(k)}")
         applied = dendrogram.merges[: n - k]
     else:
         applied = tuple(m for m in dendrogram.merges if m.height <= height)

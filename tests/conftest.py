@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -9,7 +10,9 @@ from cnifkit.core_model import (
     UndefinedIndicatorError,
     Violation,
 )
+from cnifkit.indicators import row_cnif, row_impact_factor
 from cnifkit.ingest import parse_category_fixture_csv
+from cnifkit.ranking import GapReport, GapSummary, RankingEntry
 from cnifkit.reference import bundled_fixture_path
 
 
@@ -95,6 +98,61 @@ def oracle_jcr_aggregate(dataset) -> CategoryAggregate:
     if not dataset.journals:
         raise UndefinedIndicatorError("empty dataset has no whole-database aggregate")
     return oracle_aggregate(dataset.journals, "JCR")
+
+
+def oracle_score_function(dataset, name):
+    """The score of a journal's row under a scorer name, computed on every
+    call: the scorer that the score columns replaced."""
+    if name == "if":
+        return partial(row_impact_factor, dataset)
+    if name == "cnif":
+        return lambda row: row_cnif(dataset, row).cnif
+    raise ValueError(f"unknown scorer: {name!r}")
+
+
+def oracle_rank_category(dataset, category, scorer="if"):
+    """Members scored in member order, sorted by descending score then id,
+    with competition ranks: the walk that ``ranking._ranked`` replaced."""
+    rows = dataset.member_rows(category)
+    score = oracle_score_function(dataset, scorer)
+    ids = dataset.columns["id"]
+    scored = sorted(((score(i), ids[i]) for i in rows), key=lambda t: (-t[0], t[1]))
+    n = len(scored)
+    out = []
+    rank = 1
+    for pos, (s, jid) in enumerate(scored, start=1):
+        if pos > 1 and s < scored[pos - 2][0]:
+            rank = pos
+        out.append(RankingEntry(jid, category, s, rank, rank / n * 100.0))
+    return out
+
+
+def oracle_compare_gaps(dataset):
+    """``compare_gaps`` from every category's oracle ranking under each
+    scorer, keeping each journal's list of percentiles."""
+    gaps = {}
+    for scorer in ("if", "cnif"):
+        pcts = {}
+        for code in dataset.category_codes():
+            for e in oracle_rank_category(dataset, code, scorer):
+                pcts.setdefault(e.journal_id, []).append(e.percentile)
+        gaps[scorer] = {jid: max(p) - min(p) for jid, p in pcts.items()}
+    ids, categories = dataset.columns["id"], dataset.columns["categories"]
+    multi = sorted(jid for jid, cats in zip(ids, categories) if len(cats) > 1)
+    reports = [GapReport(jid, gaps["if"][jid], gaps["cnif"][jid]) for jid in multi]
+    if not reports:
+        return GapSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0), reports
+    gaps_if = [r.gap_if for r in reports]
+    gaps_cnif = [r.gap_cnif for r in reports]
+    summary = GapSummary(
+        journal_count=len(reports),
+        max_gap_if=max(gaps_if),
+        max_gap_cnif=max(gaps_cnif),
+        mean_gap_if=sum(gaps_if) / len(gaps_if),
+        mean_gap_cnif=sum(gaps_cnif) / len(gaps_cnif),
+        fraction_reduced=sum(1 for r in reports if r.gap_cnif < r.gap_if) / len(reports),
+    )
+    return summary, reports
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,8 @@ or 2, a failed command prints exactly one ``error: `` line and leaves no
 verdict it writes: validate's violations or a reproduction's mismatches.
 
 Fixed odd values of --digits, --alpha, --k and --height, and an --out path
-in a missing directory, are held to the same rules.
+in a missing directory, are held to the same rules; an error line echoes at
+most a few characters of a long value.
 """
 import contextlib
 import io
@@ -126,19 +127,27 @@ OPTION_COMMANDS = {
     "--k": (["stats", "cluster"], "--fixture"),
     "--height": (["stats", "cluster"], "--fixture"),
 }
-ODD_OPTION_VALUES = ["0", "-1", "18", "10**400", "nan", "inf", "-0.0", "5e-324", "", "é"]
+ODD_OPTION_VALUES = ["0", "-1", "18", "10**400", "-10**400", "9 * 5000", "x * 1000", "nan", "inf",
+                     "-0.0", "5e-324", "", "é"]
+LONG_VALUES = {  # the names above of values too long to show in a test id
+    "10**400": str(10**400),
+    "-10**400": str(-(10**400)),
+    "9 * 5000": "9" * 5000,  # int() refuses more than 4,300 digits
+    "x * 1000": "x" * 1000,
+}
 
 
-def run_cleanly(argv: list[str], capsys, out_dir: Path) -> int:
+def run_cleanly(argv: list[str], capsys, out_dir: Path) -> tuple[int, str]:
     """Run argv in-process and check the outcome: no traceback, exit 0, 1 or 2,
-    and an ``error:`` exit leaves nothing in ``out_dir``."""
+    and an ``error:`` exit leaves nothing in ``out_dir``.  Returns the exit
+    code and stderr."""
     code = cli.main(argv)
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert code in (0, 1, 2)
     if "error:" in err:
         assert code in (1, 2) and not any(out_dir.iterdir()), err
-    return code
+    return code, err
 
 
 @pytest.mark.parametrize("value", ODD_OPTION_VALUES, ids=ascii)
@@ -150,9 +159,12 @@ def test_odd_option_value_exits_cleanly(flag, value, tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    value = str(10**400) if value == "10**400" else value
+    value = LONG_VALUES.get(value, value)
     # the = form passes the empty string and values that start with "-" as values
-    run_cleanly([*argv, source, str(path), f"{flag}={value}", "--out", str(out_dir / "r")], capsys, out_dir)
+    argv = [*argv, source, str(path), f"{flag}={value}", "--out", str(out_dir / "r")]
+    _, err = run_cleanly(argv, capsys, out_dir)
+    # an error line shows a few characters of a long value, not all of it
+    assert all(len(line) <= 120 for line in err.splitlines() if "error:" in line), err
 
 
 def test_out_into_missing_directory_exits_cleanly(tmp_path, capsys):
@@ -161,4 +173,4 @@ def test_out_into_missing_directory_exits_cleanly(tmp_path, capsys):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     out = out_dir / "missing" / "r"  # gap would write r and r.summary
-    assert run_cleanly(["gap", "--input", str(path), "--out", str(out)], capsys, out_dir) == 2
+    assert run_cleanly(["gap", "--input", str(path), "--out", str(out)], capsys, out_dir)[0] == 2

@@ -1,4 +1,4 @@
-"""The category table behind cnif(), the CNIF scorer's memo and Dataset.members().
+"""The category table behind cnif(), the score columns and Dataset.members().
 
 The record walks of ``conftest`` (whole-database and union aggregates),
 composed with impact_factor, are the oracles; score and CNIF are their exact
@@ -21,6 +21,7 @@ from cnifkit.indicators import (
     cnif,
     impact_factor,
     row_cnif,
+    row_cnif_value,
 )
 
 from conftest import make_dataset, make_journal, oracle_jcr_aggregate, oracle_union_aggregate
@@ -216,14 +217,18 @@ def test_one_table_build_and_one_cnif_per_journal(command, tmp_path, monkeypatch
             return fn(*args)
         return wrapped
 
-    def counting_cnif(dataset, row):
-        scored[dataset.columns["id"][row]] += 1
-        return row_cnif(dataset, row)
+    def counting_cnif(fn):
+        def wrapped(dataset, row):
+            scored[dataset.columns["id"][row]] += 1
+            return fn(dataset, row)
+        return wrapped
 
     for name in ("jcr_aggregate", "meta_category_aggregate", "_category_table"):
         monkeypatch.setattr(indicators, name, counting(name, getattr(indicators, name)))
-    monkeypatch.setattr(indicators, "row_cnif", counting_cnif)
-    monkeypatch.setattr(ranking, "row_cnif", counting_cnif)
+    # cnif formats row_cnif's fields; rank and gap read the CNIF column,
+    # which ranking fills with row_cnif_value
+    monkeypatch.setattr(indicators, "row_cnif", counting_cnif(row_cnif))
+    monkeypatch.setattr(ranking, "row_cnif_value", counting_cnif(row_cnif_value))
     path = write_csv(tmp_path, GUARD_ROWS)
     assert main(command + ["--input", path, "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == Counter({"_category_table": 1})
