@@ -141,13 +141,11 @@ def _decompose_rows(args) -> Outputs:
 def _cnif_rows(args) -> Outputs:
     dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
     ids = dataset.columns["id"]
-    scores = ("meta_aif", "jcr_aif", "score", "cnif")
-    rows = []
-    for i in sorted(range(len(ids)), key=ids.__getitem__):
-        score = indicators.row_cnif(dataset, i)
-        if_value = _fmt(score.if_value, args.digits)
-        rows.append((score.journal_id, if_value, *_cells(score, scores, args.digits)))
-    return 0, {"": (("journal_id", "if", *scores), rows)}
+    rows = [
+        (ids[i], *(_fmt(v, args.digits) for v in indicators.row_cnif(dataset, i)))
+        for i in sorted(range(len(ids)), key=ids.__getitem__)
+    ]
+    return 0, {"": (("journal_id", "if", "meta_aif", "jcr_aif", "score", "cnif"), rows)}
 
 
 def _rank_rows(args) -> Outputs:
@@ -170,10 +168,10 @@ def _gap_rows(args) -> Outputs:
     # compare_gaps ranked every row, so both columns hold only floats
     by_if, by_cnif = ranking.score_column(dataset, "if"), ranking.score_column(dataset, "cnif")
     ids, categories = dataset.columns["id"], dataset.columns["categories"]
-    by_id = iter(sorted(range(len(ids)), key=ids.__getitem__))  # compare_gaps reports in id order
+    row_of = {jid: i for i, jid in enumerate(ids)}  # the row of each report's journal
     rows = []
     for r in reports:
-        i = next(i for i in by_id if ids[i] == r.journal_id)
+        i = row_of[r.journal_id]
         cells = (_fmt(v, args.digits) for v in (by_if[i], by_cnif[i], r.gap_if, r.gap_cnif))
         rows.append((r.journal_id, ";".join(categories[i]), *cells))
     columns = ("journal_id", "categories", "if", "cnif", "gap_if", "gap_cnif")

@@ -15,11 +15,17 @@ class UndefinedIndicatorError(ValueError):
     """A denominator required by an indicator is zero."""
 
 
-def clip(value, width: int = 20) -> str:
-    """``str(value)`` as an error message echoes it: cut to ``width``
+# Every count lies below the int64 bound; summed over journals it keeps every
+# IF, AIF and CNIF ratio a finite float.
+COUNT_LIMIT = 2**63
+CLIP_WIDTH = 20
+
+
+def clip(value) -> str:
+    """``str(value)`` as an error message echoes it: cut to ``CLIP_WIDTH``
     characters, the last three "...", when it is longer."""
     text = str(value)
-    return text if len(text) <= width else text[: width - 3] + "..."
+    return text if len(text) <= CLIP_WIDTH else text[: CLIP_WIDTH - 3] + "..."
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,7 +36,8 @@ class JournalRecord:
     target-window years.  ``cited_in_window`` counts citations received in
     year t to the t-1/t-2 volumes.  The three reference fields are optional:
     absent means unknown, never zero.  An empty category list, a repeated
-    category code or a negative count raises ``ValueError``.
+    category code or a count that is negative or ``COUNT_LIMIT`` or more
+    raises ``ValueError``.
     """
 
     id: str
@@ -53,8 +60,12 @@ class JournalRecord:
         object.__setattr__(self, "categories", categories)
         for name in COUNT_FIELDS:
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is None:
+                continue
+            if value < 0:
                 raise ValueError(f"journal {self.id}: negative count in {name}: {value}")
+            if value >= COUNT_LIMIT:
+                raise ValueError(f"journal {self.id}: count in {name} is 2**63 or more")
 
     @property
     def items_window(self) -> int:

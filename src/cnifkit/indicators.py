@@ -141,7 +141,8 @@ def meta_category_aggregate(dataset: Dataset, codes: Iterable[str]) -> CategoryA
     rows: set[int] = set()
     for code in codes:
         rows.update(dataset.member_rows(code))
-    return _row_sum(dataset, sorted(rows), "+".join(sorted(codes)))
+    counts = ([col[i] for i in rows] for col in map(dataset.columns.get, COUNT_FIELDS))
+    return _sums("+".join(sorted(codes)), *counts)
 
 
 def jcr_aggregate(dataset: Dataset) -> CategoryAggregate:
@@ -151,10 +152,10 @@ def jcr_aggregate(dataset: Dataset) -> CategoryAggregate:
     return _table(dataset)[1]
 
 
-def _row_sum(dataset: Dataset, rows: list[int], code: str) -> CategoryAggregate:
-    """Fieldwise sums of the journals at ``rows``, read from the columns."""
-    counts = (dataset.columns[name] for name in COUNT_FIELDS)
-    t, t1, t2, cited, *refs = ([col[i] for i in rows] for col in counts)
+def _sums(code: str, t, t1, t2, cited, *refs) -> CategoryAggregate:
+    """Fieldwise sums of count columns given in ``COUNT_FIELDS`` order.  A row
+    lacking a reference count is left out of the three reference sums and
+    counted in ``reference_exclusions``."""
     complete = [None not in r for r in zip(*refs)]
     rt, rj, rjw = (sum(compress(col, complete)) for col in refs)
     excluded = complete.count(False)
@@ -168,11 +169,9 @@ def _category_table(dataset: Dataset) -> tuple[dict, CategoryAggregate]:
     c = dataset.columns
     sums = {code: [0] * 8 for code in dataset.category_codes()}  # CategoryAggregate's order
     shared: dict[str, list[int]] = {code: [] for code in sums}
-    complete = []
-    rows = zip(c["categories"], *(c[name] for name in COUNT_FIELDS))
-    for row, (codes, t, t1, t2, cited, rt, rj, rjw) in enumerate(rows):
+    counts = [c[name] for name in COUNT_FIELDS]
+    for row, (codes, t, t1, t2, cited, rt, rj, rjw) in enumerate(zip(c["categories"], *counts)):
         has_refs = rt is not None and rj is not None and rjw is not None
-        complete.append(has_refs)
         for code in codes:
             s = sums[code]
             s[0] += t
@@ -188,11 +187,8 @@ def _category_table(dataset: Dataset) -> tuple[dict, CategoryAggregate]:
         if len(codes) > 1:
             for code in codes:
                 shared[code].append(row)
-    t, t1, t2, cited, *refs = (c[name] for name in COUNT_FIELDS)
-    rt, rj, rjw = (sum(compress(col, complete)) for col in refs)
-    jcr = [sum(t), sum(t1), sum(t2), rt, rj, sum(cited), rjw, complete.count(False)]
     table = {code: (CategoryAggregate(code, *s), shared[code]) for code, s in sums.items()}
-    return table, CategoryAggregate("JCR", *jcr)
+    return table, _sums("JCR", *counts)
 
 
 def _table(dataset: Dataset) -> tuple[dict, CategoryAggregate]:
@@ -213,42 +209,24 @@ def cnif(journal: JournalRecord, dataset: Dataset) -> NormalizedScore:
     within half an ulp of each other still round to the same float.
     """
     items = journal.items_t1 + journal.items_t2
-    return _cnif(dataset, journal.id, journal.categories, journal.cited_in_window, items)
+    terms = _cnif_terms(dataset, journal.id, journal.categories, journal.cited_in_window, items)
+    return NormalizedScore(journal.id, *terms)
 
 
-def row_cnif(dataset: Dataset, row: int) -> NormalizedScore:
-    """``cnif`` of the journal at ``row``, read from the columns."""
+def row_cnif(dataset: Dataset, row: int) -> tuple[float, float, float, float, float]:
+    """The fields of ``cnif`` after ``journal_id`` for the journal at ``row``,
+    read from the columns: ``(if_value, meta_aif, jcr_aif, score, cnif)``."""
     c = dataset.columns
-    items = c["items_t1"][row] + c["items_t2"][row]
-    return _cnif(dataset, c["id"][row], c["categories"][row], c["cited_in_window"][row], items)
+    jid, codes, cited = c["id"][row], c["categories"][row], c["cited_in_window"][row]
+    return _cnif_terms(dataset, jid, codes, cited, c["items_t1"][row] + c["items_t2"][row])
 
 
-def row_cnif_value(dataset: Dataset, row: int) -> float:
-    """``row_cnif(dataset, row).cnif``, the same float, with no ``NormalizedScore`` built."""
-    c = dataset.columns
-    journal_id, cited = c["id"][row], c["cited_in_window"][row]
-    items = c["items_t1"][row] + c["items_t2"][row]
-    _impact_factor(journal_id, cited, items)
-    num, den = _score_terms(dataset, journal_id, c["categories"][row])[2:]
-    return num * cited / (den * items)
-
-
-def _cnif(dataset: Dataset, journal_id: str, codes, cited: int, items: int) -> NormalizedScore:
+def _cnif_terms(
+    dataset: Dataset, journal_id: str, codes, cited: int, items: int
+) -> tuple[float, float, float, float, float]:
+    """IF, union AIF, whole-database AIF, score and CNIF of a journal with
+    these categories and window counts."""
     if_value = _impact_factor(journal_id, cited, items)
-    jcr_aif, meta_aif, num, den = _score_terms(dataset, journal_id, codes)
-    return NormalizedScore(
-        journal_id=journal_id,
-        if_value=if_value,
-        meta_aif=meta_aif,
-        jcr_aif=jcr_aif,
-        score=num / den,
-        cnif=num * cited / (den * items),
-    )
-
-
-def _score_terms(dataset: Dataset, journal_id: str, codes) -> tuple[float, float, int, int]:
-    """The whole-database AIF, the AIF of the union of the codes, and the
-    exact numerator and denominator of their ratio, the journal's score."""
     if not dataset.columns["id"]:
         raise UndefinedIndicatorError("empty dataset has no whole-database aggregate")
     by_code, jcr = _table(dataset)
@@ -275,7 +253,8 @@ def _score_terms(dataset: Dataset, journal_id: str, codes) -> tuple[float, float
             f"journal {journal_id}: zero meta-category AIF, normalization undefined"
         )
     # score = (jcr cited / jcr items) / (union cited / union items), cnif = score * IF
-    return jcr_aif, meta_aif, jcr.ncited * union_items, jcr.items_window * union_cited
+    num, den = jcr.ncited * union_items, jcr.items_window * union_cited
+    return if_value, meta_aif, jcr_aif, num / den, num * cited / (den * items)
 
 
 def fixture_reference_components(row) -> tuple[float, float, float]:

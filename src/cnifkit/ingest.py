@@ -9,15 +9,11 @@ import sys
 from collections import defaultdict
 from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
-from .core_model import COUNT_FIELDS, FIELDS, Dataset, Edition
+from .core_model import COUNT_FIELDS, COUNT_LIMIT, FIELDS, Dataset, Edition
 
 JOURNAL_HEADER = list(FIELDS)
 
 T = TypeVar("T")
-
-# Every count lies below the int64 bound; summed over journals it keeps every
-# IF, AIF and CNIF ratio a finite float.
-COUNT_LIMIT = 2**63
 
 _EDITIONS = {e.value: e for e in Edition}
 

@@ -8,7 +8,7 @@ from typing import Iterable, Iterator
 
 from .core_model import Dataset, UndefinedIndicatorError
 # the benchmark tracer in perfbench/ patches ``ranking.cnif``, so the name stays bound
-from .indicators import cnif, row_cnif_value, row_impact_factor  # noqa: F401
+from .indicators import cnif, row_cnif, row_impact_factor  # noqa: F401
 
 SCORERS = ("if", "cnif")
 
@@ -51,7 +51,7 @@ def score_column(dataset: Dataset, name: str) -> list:
     key = f"{name} scores"
     column = dataset._cache.get(key)
     if column is None:
-        score = row_impact_factor if name == "if" else row_cnif_value
+        score = row_impact_factor if name == "if" else lambda ds, row: row_cnif(ds, row)[-1]
         column = []
         for row in range(len(dataset.columns["id"])):
             try:
@@ -114,7 +114,7 @@ def compare_gaps(dataset: Dataset) -> tuple[GapSummary, list[GapReport]]:
     """Gap under IF and CNIF of each multi-category journal, plus a summary.
 
     ``fraction_reduced`` counts strict decreases of the gap only.  The reports
-    come in ascending journal id order; the ``gap`` command relies on it.
+    come in ascending journal id order.
     """
     by_if = _journal_gaps(dataset, "if")
     by_cnif = _journal_gaps(dataset, "cnif")

@@ -10,7 +10,7 @@ from cnifkit.core_model import (
     UndefinedIndicatorError,
     Violation,
 )
-from cnifkit.indicators import row_cnif, row_impact_factor
+from cnifkit.indicators import cnif, row_impact_factor
 from cnifkit.ingest import parse_category_fixture_csv
 from cnifkit.ranking import GapReport, GapSummary, RankingEntry
 from cnifkit.reference import bundled_fixture_path
@@ -106,7 +106,7 @@ def oracle_score_function(dataset, name):
     if name == "if":
         return partial(row_impact_factor, dataset)
     if name == "cnif":
-        return lambda row: row_cnif(dataset, row).cnif
+        return lambda row: cnif(dataset.journals[row], dataset).cnif
     raise ValueError(f"unknown scorer: {name!r}")
 
 

@@ -9,9 +9,10 @@ or 2, a failed command prints exactly one ``error: `` line and leaves no
 ``--out`` file, and a command exits 1 without an error line only for a
 verdict it writes: validate's violations or a reproduction's mismatches.
 
-Fixed odd values of --digits, --alpha, --k and --height, and an --out path
-in a missing directory, are held to the same rules; an error line echoes at
-most a few characters of a long value.
+Fixed odd values of --digits, --alpha, --k and --height, repeated flags, a
+value outside --edition's or --scorer's choices, and an --out path in a
+missing directory, are held to the same rules; an error line echoes at most
+a few characters of a long value, and a repeated flag takes its last value.
 """
 import contextlib
 import io
@@ -150,15 +151,21 @@ def run_cleanly(argv: list[str], capsys, out_dir: Path) -> tuple[int, str]:
     return code, err
 
 
-@pytest.mark.parametrize("value", ODD_OPTION_VALUES, ids=ascii)
-@pytest.mark.parametrize("flag", sorted(OPTION_COMMANDS))
-def test_odd_option_value_exits_cleanly(flag, value, tmp_path, capsys):
-    argv, source = OPTION_COMMANDS[flag]
+def write_input(tmp_path: Path, source: str) -> tuple[Path, Path]:
+    """The valid input a ``source`` command reads, and an empty --out directory."""
     lines = JOURNAL_LINES if source == "--input" else FIXTURE_LINES
     path = tmp_path / "in.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out_dir = tmp_path / "out"
     out_dir.mkdir()
+    return path, out_dir
+
+
+@pytest.mark.parametrize("value", ODD_OPTION_VALUES, ids=ascii)
+@pytest.mark.parametrize("flag", sorted(OPTION_COMMANDS))
+def test_odd_option_value_exits_cleanly(flag, value, tmp_path, capsys):
+    argv, source = OPTION_COMMANDS[flag]
+    path, out_dir = write_input(tmp_path, source)
     value = LONG_VALUES.get(value, value)
     # the = form passes the empty string and values that start with "-" as values
     argv = [*argv, source, str(path), f"{flag}={value}", "--out", str(out_dir / "r")]
@@ -174,3 +181,40 @@ def test_out_into_missing_directory_exits_cleanly(tmp_path, capsys):
     out_dir.mkdir()
     out = out_dir / "missing" / "r"  # gap would write r and r.summary
     assert run_cleanly(["gap", "--input", str(path), "--out", str(out)], capsys, out_dir)[0] == 2
+
+
+# each argv ends with its repeated flag's two values
+REPEATED_FLAGS = [
+    (["cnif", "--digits", "2", "--digits", "3"], "--input"),
+    (["rank", "--scorer", "if", "--scorer", "cnif"], "--input"),
+    (["stats", "corr", "--edition", "science", "--edition", "social"], "--fixture"),
+]
+
+
+def argv_ids(cases) -> list[str]:
+    return [" ".join(argv) for argv, _ in cases]
+
+
+@pytest.mark.parametrize("argv, source", REPEATED_FLAGS, ids=argv_ids(REPEATED_FLAGS))
+def test_repeated_flag_takes_its_last_value(argv, source, tmp_path, capsys):
+    path, out_dir = write_input(tmp_path, source)
+    twice, once = out_dir / "twice", out_dir / "once"
+    assert run_cleanly([*argv, source, str(path), "--out", str(twice)], capsys, out_dir)[0] == 0
+    last_only = [*argv[:-4], *argv[-2:], source, str(path), "--out", str(once)]
+    assert run_cleanly(last_only, capsys, out_dir)[0] == 0
+    assert twice.read_bytes() == once.read_bytes()
+
+
+BAD_CHOICES = [
+    (["decompose", "--edition", "arts"], "--fixture"),
+    (["rank", "--scorer", "jif"], "--input"),
+]
+
+
+@pytest.mark.parametrize("argv, source", BAD_CHOICES, ids=argv_ids(BAD_CHOICES))
+def test_value_outside_choices_is_a_usage_error(argv, source, tmp_path, capsys):
+    path, out_dir = write_input(tmp_path, source)
+    argv = [*argv, source, str(path), "--out", str(out_dir / "r")]
+    code, err = run_cleanly(argv, capsys, out_dir)
+    assert code == 2 and "invalid choice" in err, err
+    assert not any(out_dir.iterdir())

@@ -21,7 +21,6 @@ from cnifkit.indicators import (
     cnif,
     impact_factor,
     row_cnif,
-    row_cnif_value,
 )
 
 from conftest import make_dataset, make_journal, oracle_jcr_aggregate, oracle_union_aggregate
@@ -226,9 +225,9 @@ def test_one_table_build_and_one_cnif_per_journal(command, tmp_path, monkeypatch
     for name in ("jcr_aggregate", "meta_category_aggregate", "_category_table"):
         monkeypatch.setattr(indicators, name, counting(name, getattr(indicators, name)))
     # cnif formats row_cnif's fields; rank and gap read the CNIF column,
-    # which ranking fills with row_cnif_value
+    # which ranking fills with row_cnif's last field
     monkeypatch.setattr(indicators, "row_cnif", counting_cnif(row_cnif))
-    monkeypatch.setattr(ranking, "row_cnif_value", counting_cnif(row_cnif_value))
+    monkeypatch.setattr(ranking, "row_cnif", counting_cnif(row_cnif))
     path = write_csv(tmp_path, GUARD_ROWS)
     assert main(command + ["--input", path, "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == Counter({"_category_table": 1})

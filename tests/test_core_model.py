@@ -1,10 +1,12 @@
+import io
 import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cnifkit.core_model import COUNT_FIELDS, JournalRecord, Violation, validate
+from cnifkit.core_model import COUNT_FIELDS, COUNT_LIMIT, JournalRecord, Violation, validate
+from cnifkit.ingest import emit_journals_csv, parse_journals_csv
 
 from conftest import make_dataset, make_journal, oracle_validate
 
@@ -31,6 +33,22 @@ RECORD = dict(
 def test_record_rejects_break_of_its_own_rules(field, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         JournalRecord(**{**RECORD, field: value})
+
+
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+def test_record_rejects_count_the_parser_rejects(field):
+    # the parser's bound: a record past it would be written by
+    # emit_journals_csv and then refused when read back
+    message = f"journal j1: count in {field} is 2**63 or more"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        JournalRecord(**{**RECORD, field: COUNT_LIMIT})
+    # one below the bound is a count, and the dataset reads back as written;
+    # refs_total and refs_jcr one below it too keep both reference rules
+    record = {**RECORD, "refs_total": COUNT_LIMIT - 1, "refs_jcr": COUNT_LIMIT - 1}
+    ds = make_dataset([JournalRecord(**{**record, field: COUNT_LIMIT - 1})])
+    out = io.StringIO()
+    emit_journals_csv(ds, out)
+    assert parse_journals_csv(io.StringIO(out.getvalue())) == ds
 
 
 def test_row_breaking_both_reference_rules_has_two_violations_in_rule_order():

@@ -3,24 +3,28 @@
 The oracles in ``conftest`` score each member on every call, sort entries
 and keep every percentile of a journal; ``rank_category``, the ``rank``
 command's rows and ``compare_gaps`` must give the same floats, ranks and
-first error.  Hypothesis draws API-built datasets whose journals list 1 to
-4 codes, with ties between equal rationals written differently (scaled
-copies of another journal's counts), zero target windows, and codes whose
-members all have zero citations, so that a journal listing only such codes
-has a zero union AIF.  The only errors allowed are ``ValueError`` (with
+first error; ``row_cnif`` and the ``cnif`` command must give ``cnif()``'s
+floats and first error.  Hypothesis draws API-built datasets whose journals
+list 1 to 4 codes, with ties between equal rationals written differently
+(scaled copies of another journal's counts), zero target windows, and codes
+whose members all have zero citations, so that a journal listing only such
+codes has a zero union AIF.  The only errors allowed are ``ValueError`` (with
 ``UndefinedIndicatorError``) and ``KeyError``.
 """
 import contextlib
 import io
 import os
 import tempfile
+from dataclasses import astuple
+from functools import partial
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnifkit import cli, ingest, ranking
-from cnifkit.indicators import row_impact_factor
+from cnifkit.indicators import cnif, row_cnif, row_impact_factor
 from cnifkit.ranking import compare_gaps, rank_category
 
 from conftest import make_dataset, make_journal, oracle_compare_gaps, oracle_rank_category
@@ -39,11 +43,14 @@ def datasets(draw):
         codes = draw(st.lists(st.sampled_from(CODES), min_size=1, max_size=4, unique=True))
         if journals and draw(st.integers(0, 3)) == 0:
             # k times another journal's counts: the same IF, and with its
-            # codes the same CNIF, as a different pair of integers
-            base, k = draw(st.sampled_from(journals)), draw(st.integers(2, 5))
+            # codes the same CNIF, as a different pair of integers; the
+            # first journal is never a copy, so some base stays below MAX_COUNT
+            counts = attrgetter("items_t1", "items_t2", "cited_in_window")
+            bases = [j for j in journals if max(counts(j)) <= MAX_COUNT]
+            base, k = draw(st.sampled_from(bases)), draw(st.integers(2, 5))
             if draw(st.booleans()):
                 codes = base.categories
-            t1, t2, cited = (k * x for x in (base.items_t1, base.items_t2, base.cited_in_window))
+            t1, t2, cited = (k * x for x in counts(base))
         else:
             # small counts make zero windows and ties; large ones use every bit
             counts = st.integers(0, 6) if draw(st.integers(0, 3)) else st.integers(0, MAX_COUNT)
@@ -83,32 +90,61 @@ def test_compare_gaps_matches_oracle(ds, warm):
     assert outcome(lambda: compare_gaps(ds)) == expected
 
 
-@settings(max_examples=60, deadline=None)
-@given(datasets(), st.sampled_from(["if", "cnif"]), st.sampled_from([0, 3, 17]))
-def test_rank_rows_match_oracle(ds, scorer, digits):
-    rows = []
+def expected_run(columns, compute_rows):
+    """Exit code, CSV output and stderr of a command whose rows
+    ``compute_rows`` gives, or whose first error it raises."""
     try:
-        for code in ds.category_codes():
-            for e in oracle_rank_category(ds, code, scorer):
-                pct = cli._fmt(e.percentile, digits)
-                rows.append((code, e.journal_id, scorer, cli._fmt(e.score, digits), e.rank, pct))
+        rows = compute_rows()
     except ValueError as exc:
-        expected_code, expected_out, expected_err = 1, None, f"error: {exc}\n"
-    else:
-        columns = ("category", "journal_id", "score_desc", "score", "rank", "percentile")
-        out = io.StringIO()
-        ingest.emit_report(columns, rows, "csv", out)
-        expected_code, expected_out, expected_err = 0, out.getvalue(), ""
+        return 1, None, f"error: {exc}\n"
+    out = io.StringIO()
+    ingest.emit_report(columns, rows, "csv", out)
+    return 0, out.getvalue(), ""
+
+
+def run_command(ds, argv):
+    """Exit code, --out file (None when absent) and stderr of ``argv`` on
+    ``ds`` written as a journal CSV."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "out.csv")
         with open(path, "w", encoding="utf-8") as f:
             ingest.emit_journals_csv(ds, f)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            argv = ["rank", "--input", path, "--scorer", scorer, "--digits", str(digits)]
-            code = cli.main(argv + ["--out", out])
+            code = cli.main(argv + ["--input", path, "--out", out])
         written = open(out, encoding="utf-8").read() if os.path.exists(out) else None
-    assert (code, written, err.getvalue()) == (expected_code, expected_out, expected_err)
+    return code, written, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets(), st.sampled_from(["if", "cnif"]), st.sampled_from([0, 3, 17]))
+def test_rank_rows_match_oracle(ds, scorer, digits):
+    def rows():
+        fmt = partial(cli._fmt, digits=digits)
+        return [
+            (code, e.journal_id, scorer, fmt(e.score), e.rank, fmt(e.percentile))
+            for code in ds.category_codes()
+            for e in oracle_rank_category(ds, code, scorer)
+        ]
+
+    columns = ("category", "journal_id", "score_desc", "score", "rank", "percentile")
+    argv = ["rank", "--scorer", scorer, "--digits", str(digits)]
+    assert run_command(ds, argv) == expected_run(columns, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets(), st.sampled_from([0, 3, 17]))
+def test_row_cnif_and_cnif_command_match_cnif(ds, digits):
+    for row, j in enumerate(ds.journals):
+        # the five fields of cnif() after journal_id, every float bit compared
+        assert outcome(lambda: row_cnif(ds, row)) == outcome(lambda: astuple(cnif(j, ds))[1:])
+
+    def rows():  # in id order, so the first error is the first in id order
+        by_id = sorted(ds.journals, key=attrgetter("id"))
+        return [(j.id, *(cli._fmt(v, digits) for v in astuple(cnif(j, ds))[1:])) for j in by_id]
+
+    columns = ("journal_id", "if", "meta_aif", "jcr_aif", "score", "cnif")
+    assert run_command(ds, ["cnif", "--digits", str(digits)]) == expected_run(columns, rows)
 
 
 def test_column_left_unfinished_is_not_cached(monkeypatch):
