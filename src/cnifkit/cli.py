@@ -88,12 +88,21 @@ def _alpha(value: str) -> float:
     return x
 
 
-def _fmt(x: Optional[float], digits: int) -> str:
-    return "" if x is None else f"{round_away(x, digits):.{digits}f}"
+def _formatter(digits: int) -> Callable[[Optional[float]], str]:
+    """x as ``f"{round_away(x, digits):.{digits}f}"`` shows it, "" for None."""
+    scale, spec = 10**digits, f".{digits}f"  # built once per formatter
+
+    def fmt(x: Optional[float]) -> str:
+        if x is None:
+            return ""
+        s = x * scale  # round_away inline: s has the sign of x, and 0.5 - s == -s + 0.5
+        return f"{(int(s + 0.5) if s >= 0 else -int(0.5 - s)) / scale:{spec}}"
+
+    return fmt
 
 
-def _cells(obj, names, digits: int) -> tuple[str, ...]:
-    return tuple(_fmt(getattr(obj, name), digits) for name in names)
+def _cells(obj, names, fmt: Callable[[Optional[float]], str]) -> tuple[str, ...]:
+    return tuple(fmt(getattr(obj, name)) for name in names)
 
 
 def _validate_rows(args) -> Outputs:
@@ -104,15 +113,15 @@ def _validate_rows(args) -> Outputs:
 
 def _indicator_rows(args) -> Outputs:
     dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
-    rows = []
+    fmt, rows = _formatter(args.digits), []
     for code in dataset.category_codes():
         agg = indicators.category_aggregate(dataset, code)
         try:
-            aif = _fmt(indicators.aggregate_impact_factor(agg), args.digits)
+            aif = fmt(indicators.aggregate_impact_factor(agg))
         except ValueError:  # UndefinedIndicatorError
             aif = ""
         try:
-            cells = _cells(indicators.components(agg), COMPONENTS, args.digits)
+            cells = _cells(indicators.components(agg), COMPONENTS, fmt)
         except ValueError:
             cells = ("",) * len(COMPONENTS)
         journals = len(dataset.member_rows(code))
@@ -122,29 +131,30 @@ def _indicator_rows(args) -> Outputs:
 
 
 def _decompose_rows(args) -> Outputs:
-    rows = []
+    fmt, rows = _formatter(args.digits), []
     if args.input:
         dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
         for code in dataset.category_codes():
             agg = indicators.category_aggregate(dataset, code)
             cv = indicators.components(agg)
-            product = _fmt(indicators.recompose(cv), args.digits)
-            aif = _fmt(indicators.aggregate_impact_factor(agg), args.digits)
-            rows.append((code, *_cells(cv, COMPONENTS, args.digits), product, aif))
+            product = fmt(indicators.recompose(cv))
+            aif = fmt(indicators.aggregate_impact_factor(agg))
+            rows.append((code, *_cells(cv, COMPONENTS, fmt), product, aif))
         return 0, {"": (("category", *COMPONENTS, "product", "aif"), rows)}
     for r in _fixture(args):
-        pwb = (_fmt(v, args.digits) for v in indicators.fixture_reference_components(r))
-        rows.append((r.code, *pwb))
+        rows.append((r.code, *map(fmt, indicators.fixture_reference_components(r))))
     return 0, {"": (("category", "p", "w", "b"), rows)}
 
 
 def _cnif_rows(args) -> Outputs:
     dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
-    ids = dataset.columns["id"]
-    rows = [
-        (ids[i], *(_fmt(v, args.digits) for v in indicators.row_cnif(dataset, i)))
-        for i in sorted(range(len(ids)), key=ids.__getitem__)
-    ]
+    ids, fmt, rows = dataset.columns["id"], _formatter(args.digits), []
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    by_id = indicators.cnif_terms(dataset, indicators.row_counts(dataset, order))  # streamed
+    for i, terms in zip(order, by_id):
+        if isinstance(terms, ValueError):  # UndefinedIndicatorError: the first in id order aborts
+            raise terms
+        rows.append((ids[i], *map(fmt, terms)))
     return 0, {"": (("journal_id", "if", "meta_aif", "jcr_aif", "score", "cnif"), rows)}
 
 
@@ -153,9 +163,9 @@ def _rank_rows(args) -> Outputs:
     column, ids = ranking.score_column(dataset, args.scorer), dataset.columns["id"]
     # score_desc names the scorer: a higher score is a better (lower) percentile
     columns = ("category", "journal_id", "score_desc", "score", "rank", "percentile")
-    d = args.digits
+    fmt = _formatter(args.digits)
     rows = [
-        (code, jid, args.scorer, _fmt(s, d), rank, _fmt(pct, d))
+        (code, jid, args.scorer, fmt(s), rank, fmt(pct))
         for code in dataset.category_codes()
         for s, jid, rank, pct in ranking._ranked(column, ids, dataset.member_rows(code))
     ]
@@ -169,24 +179,24 @@ def _gap_rows(args) -> Outputs:
     by_if, by_cnif = ranking.score_column(dataset, "if"), ranking.score_column(dataset, "cnif")
     ids, categories = dataset.columns["id"], dataset.columns["categories"]
     row_of = {jid: i for i, jid in enumerate(ids)}  # the row of each report's journal
-    rows = []
+    fmt, rows = _formatter(args.digits), []
     for r in reports:
         i = row_of[r.journal_id]
-        cells = (_fmt(v, args.digits) for v in (by_if[i], by_cnif[i], r.gap_if, r.gap_cnif))
+        cells = map(fmt, (by_if[i], by_cnif[i], r.gap_if, r.gap_cnif))
         rows.append((r.journal_id, ";".join(categories[i]), *cells))
     columns = ("journal_id", "categories", "if", "cnif", "gap_if", "gap_cnif")
     measures = ("max_gap_if", "max_gap_cnif", "mean_gap_if", "mean_gap_cnif", "fraction_reduced")
-    summary_row = (summary.journal_count, *_cells(summary, measures, args.digits))
+    summary_row = (summary.journal_count, *_cells(summary, measures, fmt))
     return 0, {"": (columns, rows), ".summary": (("journal_count", *measures), [summary_row])}
 
 
 def _corr_rows(args) -> Outputs:
     matrix = stats.correlation_matrix(component_columns(_fixture(args)))
     if args.format == "json":
-        first, cell = "variable", lambda v: round_away(float(v), args.digits)
+        first, cell = "variable", lambda v: round_away(v, args.digits)
     else:  # the CSV header row starts with an empty cell
-        first, cell = "", lambda v: _fmt(float(v), args.digits)
-    rows = [(lab, *map(cell, matrix.values[i])) for i, lab in enumerate(matrix.labels)]
+        first, cell = "", _formatter(args.digits)
+    rows = [(lab, *map(cell, matrix.values[i].tolist())) for i, lab in enumerate(matrix.labels)]
     return 0, {"": ((first, *matrix.labels), rows)}
 
 
@@ -207,11 +217,11 @@ def _pca_rows(args) -> Outputs:
 
 
 def _ks_rows(args) -> Outputs:
-    rows = []
+    fmt, rows = _formatter(args.digits), []
     for name, col in component_columns(_fixture(args)).items():
         sample = [v for v in col if v is not None]
         res = stats.ks_normality(sample, alpha=args.alpha, lilliefors=args.lilliefors)
-        cells = _cells(res, ("statistic", "critical_value"), args.digits)
+        cells = _cells(res, ("statistic", "critical_value"), fmt)
         rows.append((name, res.sample_size, *cells, res.alpha, res.reject))
     columns = ("component", "n", "statistic", "critical_value", "alpha", "reject_normality")
     return 0, {"": (columns, rows)}
@@ -219,11 +229,11 @@ def _ks_rows(args) -> Outputs:
 
 def _hist_rows(args) -> Outputs:
     coverages = ("coverage_1s", "coverage_2s", "coverage_3s")
-    rows = []
+    fmt, pct, rows = _formatter(args.digits), _formatter(2), []
     for name, col in component_columns(_fixture(args)).items():
         h = stats.histogram_by_sd([v for v in col if v is not None])
         n, dropped = h.sample_size, len(col) - h.sample_size
-        mean_sd, shares = _cells(h, ("mean", "sd"), args.digits), _cells(h, coverages, 2)
+        mean_sd, shares = _cells(h, ("mean", "sd"), fmt), _cells(h, coverages, pct)
         rows.append((name, n, dropped, *mean_sd, *h.bin_counts, *shares))
     bins = tuple(f"bin{i}" for i in range(8))  # the 8 sd bands of histogram_by_sd
     return 0, {"": (("component", "n", "dropped", "mean", "sd", *bins, *coverages), rows)}
@@ -235,7 +245,8 @@ def _cluster_rows(args) -> Outputs:
     dendrogram = stats.ward_cluster([r.code for r in complete], vectors)
     # each merge's fields, the height shown at 6 digits
     columns = ("left", "right", "height", "new_id", "size")
-    rows = [(m.left, m.right, _fmt(m.height, 6), m.new_id, m.size) for m in dendrogram.merges]
+    fmt = _formatter(6)
+    rows = [(m.left, m.right, fmt(m.height), m.new_id, m.size) for m in dendrogram.merges]
     outputs = {"": (columns, rows)}
     if args.k is not None or args.height is not None:
         cut = stats.cut_dendrogram(dendrogram, k=args.k, height=args.height)
@@ -323,8 +334,9 @@ class Command:
 ARGUMENTS = {
     "--digits": {"type": _digits, "default": 3},
     "--input": {"help": "journal-level CSV (overrides --fixture)"},
-    "--edition": {"choices": ("science", "social", "all"), "default": "all"},
-    "--scorer": {"choices": ranking.SCORERS, "default": "if"},
+    # a value outside the choices is echoed as clip shows it, as every option value is
+    "--edition": {"type": clip, "choices": ("science", "social", "all"), "default": "all"},
+    "--scorer": {"type": clip, "choices": ranking.SCORERS, "default": "if"},
     "--alpha": {"type": _alpha, "default": 0.05},
     "--lilliefors": {"action": "store_true"},
     "--k": {"type": _integer},
@@ -356,7 +368,7 @@ def _add_arguments(parser: argparse.ArgumentParser, command: Command) -> None:
         parser.add_argument("--fixture", help="category fixture CSV (default: bundled table)")
     parser.add_argument("--out", help="output path (default: stdout)")
     formats = (command.fmt,) if command.fmt else ("csv", "json")
-    parser.add_argument("--format", choices=formats, default=formats[0])
+    parser.add_argument("--format", type=clip, choices=formats, default=formats[0])
     for flag in command.extra:
         parser.add_argument(flag, **ARGUMENTS[flag])
     parser.set_defaults(run=command)

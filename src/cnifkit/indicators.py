@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core_model import (
     COUNT_FIELDS,
@@ -208,53 +208,67 @@ def cnif(journal: JournalRecord, dataset: Dataset) -> NormalizedScore:
     scores are equal rationals get equal floats; two different rationals
     within half an ulp of each other still round to the same float.
     """
-    items = journal.items_t1 + journal.items_t2
-    terms = _cnif_terms(dataset, journal.id, journal.categories, journal.cited_in_window, items)
+    counts = journal.id, journal.categories, journal.cited_in_window, journal.items_window
+    terms = next(cnif_terms(dataset, [counts]))
+    if isinstance(terms, UndefinedIndicatorError):
+        raise terms
     return NormalizedScore(journal.id, *terms)
 
 
-def row_cnif(dataset: Dataset, row: int) -> tuple[float, float, float, float, float]:
-    """The fields of ``cnif`` after ``journal_id`` for the journal at ``row``,
-    read from the columns: ``(if_value, meta_aif, jcr_aif, score, cnif)``."""
+def row_counts(dataset: Dataset, rows: Iterable[int]) -> Iterator[tuple[str, tuple, int, int]]:
+    """``(journal_id, codes, cited_in_window, items_window)`` of each of the
+    rows, in their order: the journals as ``cnif_terms`` reads them."""
     c = dataset.columns
-    jid, codes, cited = c["id"][row], c["categories"][row], c["cited_in_window"][row]
-    return _cnif_terms(dataset, jid, codes, cited, c["items_t1"][row] + c["items_t2"][row])
+    ids, categories, cited = c["id"], c["categories"], c["cited_in_window"]
+    t1, t2 = c["items_t1"], c["items_t2"]
+    return ((ids[i], categories[i], cited[i], t1[i] + t2[i]) for i in rows)
 
 
-def _cnif_terms(
-    dataset: Dataset, journal_id: str, codes, cited: int, items: int
-) -> tuple[float, float, float, float, float]:
-    """IF, union AIF, whole-database AIF, score and CNIF of a journal with
-    these categories and window counts."""
-    if_value = _impact_factor(journal_id, cited, items)
-    if not dataset.columns["id"]:
-        raise UndefinedIndicatorError("empty dataset has no whole-database aggregate")
+def cnif_terms(
+    dataset: Dataset, journals: Iterable[tuple[str, tuple, int, int]]
+) -> Iterator[tuple[float, float, float, float, float] | UndefinedIndicatorError]:
+    """For each ``(journal_id, codes, cited_in_window, items_window)``: the
+    fields of ``cnif`` after ``journal_id``, or the ``UndefinedIndicatorError``
+    that leaves that journal undefined.  The table, the whole-database AIF and
+    the columns are read once; an unregistered code raises ``KeyError``."""
+    c = dataset.columns
     by_code, jcr = _table(dataset)
-    jcr_aif = aggregate_impact_factor(jcr)
-    c = dataset.columns
+    jcr_cited, jcr_items = jcr.ncited, jcr.items_window
+    try:  # the whole-database error, which every journal with an IF gets
+        jcr_aif, undefined = aggregate_impact_factor(jcr), None
+    except UndefinedIndicatorError as exc:  # an empty dataset's window is 0 too
+        undefined = str(exc) if c["id"] else "empty dataset has no whole-database aggregate"
     categories, t1, t2, ncited = c["categories"], c["items_t1"], c["items_t2"], c["cited_in_window"]
-    union_items = union_cited = 0
-    seen: set[str] = set()
-    for code in codes:
-        if code not in by_code:
-            raise KeyError(f"unknown category: {code}")
-        agg, shared = by_code[code]
-        union_items += agg.items_window
-        union_cited += agg.ncited
-        if seen:
-            for m in shared:
-                if not seen.isdisjoint(categories[m]):  # counted with an earlier code
-                    union_items -= t1[m] + t2[m]
-                    union_cited -= ncited[m]
-        seen.add(code)
-    meta_aif = _aif(codes, union_cited, union_items)
-    if union_cited == 0:
-        raise UndefinedIndicatorError(
-            f"journal {journal_id}: zero meta-category AIF, normalization undefined"
-        )
-    # score = (jcr cited / jcr items) / (union cited / union items), cnif = score * IF
-    num, den = jcr.ncited * union_items, jcr.items_window * union_cited
-    return if_value, meta_aif, jcr_aif, num / den, num * cited / (den * items)
+    for journal_id, codes, cited, items in journals:
+        try:
+            if_value = _impact_factor(journal_id, cited, items)
+            if undefined:
+                raise UndefinedIndicatorError(undefined)
+            union_items = union_cited = 0
+            seen: set[str] = set()
+            for code in codes:
+                if code not in by_code:
+                    raise KeyError(f"unknown category: {code}")
+                agg, shared = by_code[code]
+                union_items += agg.items_window
+                union_cited += agg.ncited
+                if seen:
+                    for m in shared:
+                        if not seen.isdisjoint(categories[m]):  # counted with an earlier code
+                            union_items -= t1[m] + t2[m]
+                            union_cited -= ncited[m]
+                seen.add(code)
+            meta_aif = _aif(codes, union_cited, union_items)
+            if union_cited == 0:
+                raise UndefinedIndicatorError(
+                    f"journal {journal_id}: zero meta-category AIF, normalization undefined"
+                )
+        except UndefinedIndicatorError as exc:
+            yield exc
+        else:
+            # score = (jcr cited / jcr items) / (union cited / union items), cnif = score * IF
+            num, den = jcr_cited * union_items, jcr_items * union_cited
+            yield if_value, meta_aif, jcr_aif, num / den, num * cited / (den * items)
 
 
 def fixture_reference_components(row) -> tuple[float, float, float]:

@@ -8,7 +8,7 @@ from typing import Iterable, Iterator
 
 from .core_model import Dataset, UndefinedIndicatorError
 # the benchmark tracer in perfbench/ patches ``ranking.cnif``, so the name stays bound
-from .indicators import cnif, row_cnif, row_impact_factor  # noqa: F401
+from .indicators import cnif, cnif_terms, row_counts, row_impact_factor  # noqa: F401
 
 SCORERS = ("if", "cnif")
 
@@ -51,13 +51,17 @@ def score_column(dataset: Dataset, name: str) -> list:
     key = f"{name} scores"
     column = dataset._cache.get(key)
     if column is None:
-        score = row_impact_factor if name == "if" else lambda ds, row: row_cnif(ds, row)[-1]
-        column = []
-        for row in range(len(dataset.columns["id"])):
-            try:
-                column.append(score(dataset, row))
-            except UndefinedIndicatorError as exc:
-                column.append(str(exc))
+        rows = range(len(dataset.columns["id"]))
+        if name == "cnif":  # one pass of the CNIF kernel over every row
+            terms = cnif_terms(dataset, row_counts(dataset, rows))
+            column = [str(t) if isinstance(t, UndefinedIndicatorError) else t[-1] for t in terms]
+        else:
+            column = []
+            for row in rows:
+                try:
+                    column.append(row_impact_factor(dataset, row))
+                except UndefinedIndicatorError as exc:
+                    column.append(str(exc))
         dataset._cache[key] = column  # only once every row has its score
     return column
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnifkit.cli import COMMANDS, main, round_away
+from cnifkit.cli import COMMANDS, _formatter, main, round_away
 from cnifkit.reference import TABLE4_DIVERGENT_CELLS, bundled_fixture_path
 from test_cli_golden import journal_csv
 
@@ -49,6 +49,46 @@ class TestRounding:
     def test_half_away_negative(self):
         assert round_away(-2.5, 0) == -3.0
         assert round_away(-0.1235, 3) == -0.124
+
+
+NEAR_2_63 = st.integers(2**63 - 2**20, 2**63 - 1)
+
+
+@st.composite
+def rounding_cases(draw) -> tuple[float, int]:
+    """A float and a --digits value: any finite float, the smallest ones,
+    exact and inexact half ties at the scale, and ratios of counts near 2**63."""
+    digits = draw(st.integers(0, 17))
+    kind = draw(st.sampled_from(["any", "special", "exact tie", "near tie", "ratio"]))
+    if kind == "any":
+        x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    elif kind == "special":
+        x = draw(st.sampled_from([0.0, 5e-324, 0.5, 2.5, 1 / 3, 0.0005, 1e-17, 1e17]))
+    elif kind == "exact tie":  # x * 10**digits is exactly k + 0.5
+        x = (2 * draw(st.integers(0, 2000)) + 1) / 2 ** (digits + 1)
+    elif kind == "near tie":  # (k + 0.5) / 10**digits, rounded to the nearest float
+        x = (draw(st.integers(0, 10**6)) + 0.5) / 10**digits
+    else:  # an IF or a CNIF of counts below 2**63
+        x = draw(NEAR_2_63 | st.integers(0, 10**6)) / draw(NEAR_2_63 | st.integers(1, 10**6))
+    return (-x if draw(st.booleans()) else x), digits
+
+
+def rounded_text(compute):
+    """The text, or the type of the error, as for a float too large to scale."""
+    try:
+        return compute()
+    except OverflowError as exc:
+        return type(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(rounding_cases())
+def test_formatter_matches_round_away(case):
+    x, digits = case
+    fmt = _formatter(digits)
+    expected = rounded_text(lambda: f"{round_away(x, digits):.{digits}f}")
+    assert rounded_text(lambda: fmt(x)) == expected
+    assert fmt(None) == ""
 
 
 class TestExitCodes:

@@ -13,6 +13,9 @@ Fixed odd values of --digits, --alpha, --k and --height, repeated flags, a
 value outside --edition's or --scorer's choices, and an --out path in a
 missing directory, are held to the same rules; an error line echoes at most
 a few characters of a long value, and a repeated flag takes its last value.
+Hypothesis also draws argv for every command from ``cli.ARGUMENTS`` and the
+command's flags, with odd values, repeated flags and --out in a missing
+directory, and holds each run to the same rules.
 """
 import contextlib
 import io
@@ -25,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnifkit import cli
+from cnifkit.core_model import clip
 from cnifkit.ingest import JOURNAL_HEADER
 from cnifkit.reference import bundled_fixture_path
 
@@ -130,11 +134,12 @@ OPTION_COMMANDS = {
 }
 ODD_OPTION_VALUES = ["0", "-1", "18", "10**400", "-10**400", "9 * 5000", "x * 1000", "nan", "inf",
                      "-0.0", "5e-324", "", "é"]
-LONG_VALUES = {  # the names above of values too long to show in a test id
+LONG_VALUES = {  # the names of values too long to show in a test id
     "10**400": str(10**400),
     "-10**400": str(-(10**400)),
     "9 * 5000": "9" * 5000,  # int() refuses more than 4,300 digits
     "x * 1000": "x" * 1000,
+    "x * 3000": "x" * 3000,
 }
 
 
@@ -208,13 +213,73 @@ def test_repeated_flag_takes_its_last_value(argv, source, tmp_path, capsys):
 BAD_CHOICES = [
     (["decompose", "--edition", "arts"], "--fixture"),
     (["rank", "--scorer", "jif"], "--input"),
+    (["stats", "cluster", "--edition", "x * 3000"], "--fixture"),
+    (["rank", "--scorer", "x * 3000"], "--input"),
+    (["reproduce-table1", "--format", "x * 3000"], "--fixture"),
 ]
 
 
 @pytest.mark.parametrize("argv, source", BAD_CHOICES, ids=argv_ids(BAD_CHOICES))
 def test_value_outside_choices_is_a_usage_error(argv, source, tmp_path, capsys):
     path, out_dir = write_input(tmp_path, source)
-    argv = [*argv, source, str(path), "--out", str(out_dir / "r")]
+    value = LONG_VALUES.get(argv[-1], argv[-1])
+    argv = [*argv[:-1], value, source, str(path), "--out", str(out_dir / "r")]
     code, err = run_cleanly(argv, capsys, out_dir)
     assert code == 2 and "invalid choice" in err, err
     assert not any(out_dir.iterdir())
+    # argparse echoes the value as clip shows it: a long one is cut
+    shown = clip(value)
+    assert f"invalid choice: {shown!r}" in err, err
+    if shown != value:
+        assert value[: len(shown)] not in err, err
+
+
+# ROADMAP item 16's option values; JOURNAL_CSV stands for the path of the
+# journal CSV, the one valid value of decompose's --input
+JOURNAL_CSV = "<journal csv>"
+DRAWN_VALUES = ["0", "-1", "17", "18", str(10**400), "nan", "inf", "-0.0", "5e-324", "", "é",
+                JOURNAL_CSV]
+
+
+@st.composite
+def option_runs(draw) -> tuple[cli.Command, list[str], bool]:
+    """A command; its argv with flags it takes, each maybe repeated, and a
+    value drawn from ``DRAWN_VALUES``, the flag's choices or a valid number;
+    and whether --out points into a missing directory."""
+    command = draw(st.sampled_from(cli.COMMANDS))
+    argv = command.name.split()
+    formats = {"choices": [command.fmt] if command.fmt else ["csv", "json"]}
+    for flag in draw(st.lists(st.sampled_from(["--format", *command.extra]), max_size=4)):
+        spec = cli.ARGUMENTS.get(flag, formats)
+        if spec.get("action") == "store_true":
+            argv.append(flag)
+        else:  # the = form passes the empty string and values that start with "-" as values
+            value = draw(st.sampled_from(DRAWN_VALUES + list(spec.get("choices", ["3", "0.05"]))))
+            argv.append(f"{flag}={value}")
+    return command, argv, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(option_runs())
+def test_drawn_options_exit_cleanly(run):
+    command, argv, missing = run
+    with tempfile.TemporaryDirectory() as tmp:
+        journals, fixture = os.path.join(tmp, "journals.csv"), os.path.join(tmp, "fixture.csv")
+        Path(journals).write_text("\n".join(JOURNAL_LINES) + "\n", encoding="utf-8")
+        Path(fixture).write_text("\n".join(FIXTURE_LINES) + "\n", encoding="utf-8")
+        argv = [a.replace(JOURNAL_CSV, journals) for a in argv]
+        out_dir = os.path.join(tmp, "out")
+        os.mkdir(out_dir)
+        out = os.path.join(out_dir, "missing", "r") if missing else os.path.join(out_dir, "r")
+        source = journals if command.source == "--input" else fixture
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv + [command.source, source, "--out", out])
+        written = os.listdir(out_dir)
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1, 2)
+    if "error:" in err.getvalue():
+        assert code in (1, 2) and written == [], err.getvalue()
+    else:  # only a verdict exits 1 without an error line
+        assert code == 0 or (code == 1 and argv[0] in VERDICT_COMMANDS), err.getvalue()
+        assert not missing and "r" in written, err.getvalue()

@@ -19,8 +19,8 @@ from cnifkit.indicators import (
     aggregate_impact_factor,
     category_aggregate,
     cnif,
+    cnif_terms,
     impact_factor,
-    row_cnif,
 )
 
 from conftest import make_dataset, make_journal, oracle_jcr_aggregate, oracle_union_aggregate
@@ -216,18 +216,20 @@ def test_one_table_build_and_one_cnif_per_journal(command, tmp_path, monkeypatch
             return fn(*args)
         return wrapped
 
-    def counting_cnif(fn):
-        def wrapped(dataset, row):
-            scored[dataset.columns["id"][row]] += 1
-            return fn(dataset, row)
-        return wrapped
+    def counting_kernel(dataset, journals):
+        def counted():
+            for journal in journals:
+                scored[journal[0]] += 1
+                yield journal
+        return cnif_terms(dataset, counted())
 
     for name in ("jcr_aggregate", "meta_category_aggregate", "_category_table"):
         monkeypatch.setattr(indicators, name, counting(name, getattr(indicators, name)))
-    # cnif formats row_cnif's fields; rank and gap read the CNIF column,
-    # which ranking fills with row_cnif's last field
-    monkeypatch.setattr(indicators, "row_cnif", counting_cnif(row_cnif))
-    monkeypatch.setattr(ranking, "row_cnif", counting_cnif(row_cnif))
+    # cnif formats the kernel's fields; rank and gap read the CNIF column,
+    # which ranking fills from one pass of the kernel; each journal the
+    # kernel reads is counted
+    monkeypatch.setattr(indicators, "cnif_terms", counting_kernel)
+    monkeypatch.setattr(ranking, "cnif_terms", counting_kernel)
     path = write_csv(tmp_path, GUARD_ROWS)
     assert main(command + ["--input", path, "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == Counter({"_category_table": 1})

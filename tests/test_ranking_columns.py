@@ -3,20 +3,21 @@
 The oracles in ``conftest`` score each member on every call, sort entries
 and keep every percentile of a journal; ``rank_category``, the ``rank``
 command's rows and ``compare_gaps`` must give the same floats, ranks and
-first error; ``row_cnif`` and the ``cnif`` command must give ``cnif()``'s
-floats and first error.  Hypothesis draws API-built datasets whose journals
-list 1 to 4 codes, with ties between equal rationals written differently
-(scaled copies of another journal's counts), zero target windows, and codes
-whose members all have zero citations, so that a journal listing only such
-codes has a zero union AIF.  The only errors allowed are ``ValueError`` (with
-``UndefinedIndicatorError``) and ``KeyError``.
+first error; the CNIF kernel, over every row in any order, and the ``cnif``
+command must give ``cnif()``'s floats and first error.  Hypothesis draws
+API-built datasets whose journals list 1 to 4 codes, with ties between equal
+rationals written differently (scaled copies of another journal's counts),
+zero target windows, and codes whose members all have zero citations, so
+that a journal listing only such codes has a zero union AIF.  The only errors
+allowed are ``ValueError`` (with ``UndefinedIndicatorError``) and
+``KeyError``.  Fixed cases cover the kernel on an empty dataset, on a zero
+whole-database window and with an unregistered code.
 """
 import contextlib
 import io
 import os
 import tempfile
 from dataclasses import astuple
-from functools import partial
 from operator import attrgetter
 
 import pytest
@@ -24,7 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnifkit import cli, ingest, ranking
-from cnifkit.indicators import cnif, row_cnif, row_impact_factor
+from cnifkit.core_model import Dataset, UndefinedIndicatorError
+from cnifkit.indicators import cnif, cnif_terms, row_counts, row_impact_factor
 from cnifkit.ranking import compare_gaps, rank_category
 
 from conftest import make_dataset, make_journal, oracle_compare_gaps, oracle_rank_category
@@ -120,7 +122,7 @@ def run_command(ds, argv):
 @given(datasets(), st.sampled_from(["if", "cnif"]), st.sampled_from([0, 3, 17]))
 def test_rank_rows_match_oracle(ds, scorer, digits):
     def rows():
-        fmt = partial(cli._fmt, digits=digits)
+        fmt = cli._formatter(digits)
         return [
             (code, e.journal_id, scorer, fmt(e.score), e.rank, fmt(e.percentile))
             for code in ds.category_codes()
@@ -132,19 +134,79 @@ def test_rank_rows_match_oracle(ds, scorer, digits):
     assert run_command(ds, argv) == expected_run(columns, rows)
 
 
+def kernel_outcome(terms) -> str:
+    """``outcome`` of one result of the CNIF kernel: an error it yields reads
+    as the same error raised."""
+    if isinstance(terms, UndefinedIndicatorError):
+        return f"{type(terms).__name__}: {terms}"
+    return repr(terms)
+
+
+def cnif_fields(j, ds) -> tuple:
+    """The five fields of cnif() after journal_id."""
+    return astuple(cnif(j, ds))[1:]
+
+
 @settings(max_examples=100, deadline=None)
-@given(datasets(), st.sampled_from([0, 3, 17]))
-def test_row_cnif_and_cnif_command_match_cnif(ds, digits):
-    for row, j in enumerate(ds.journals):
-        # the five fields of cnif() after journal_id, every float bit compared
-        assert outcome(lambda: row_cnif(ds, row)) == outcome(lambda: astuple(cnif(j, ds))[1:])
+@given(datasets(), st.sampled_from([0, 3, 17]), st.randoms(use_true_random=False))
+def test_row_cnif_and_cnif_command_match_cnif(ds, digits, rnd):
+    shuffled = list(range(len(ds.journals)))
+    rnd.shuffle(shuffled)
+    for rows in (range(len(ds.journals)), shuffled):
+        # one pass of the kernel over every row, every float bit compared
+        terms = list(cnif_terms(ds, row_counts(ds, rows)))
+        assert len(terms) == len(ds.journals)
+        for row, t in zip(rows, terms):
+            assert kernel_outcome(t) == outcome(lambda: cnif_fields(ds.journals[row], ds))
 
     def rows():  # in id order, so the first error is the first in id order
         by_id = sorted(ds.journals, key=attrgetter("id"))
-        return [(j.id, *(cli._fmt(v, digits) for v in astuple(cnif(j, ds))[1:])) for j in by_id]
+        fmt = cli._formatter(digits)
+        return [(j.id, *map(fmt, cnif_fields(j, ds))) for j in by_id]
 
     columns = ("journal_id", "if", "meta_aif", "jcr_aif", "score", "cnif")
     assert run_command(ds, ["cnif", "--digits", str(digits)]) == expected_run(columns, rows)
+
+
+JCR_UNDEFINED = (
+    "UndefinedIndicatorError: category JCR: no citable items in target window, AIF undefined"
+)
+
+
+@pytest.mark.parametrize(
+    "journals, probes, expected",
+    [
+        # an empty dataset: the IF comes first, then the whole-database error
+        ([], [("p", ["A"], 1, 1, 1), ("q", ["A"], 0, 0, 1)], [
+            "UndefinedIndicatorError: empty dataset has no whole-database aggregate",
+            "UndefinedIndicatorError: journal q: no citable items in target window, IF undefined",
+        ]),
+        # a whole-database window of 0, then an unregistered code after it
+        ([("j1", ["A"], 0, 0, 5)], [("p", ["A", "Z"], 1, 1, 1), ("j1", ["A"], 0, 0, 5)], [
+            JCR_UNDEFINED,
+            "UndefinedIndicatorError: journal j1: no citable items in target window, IF undefined",
+        ]),
+        # an unregistered code raises KeyError, but only after the IF
+        ([("j1", ["A"], 1, 1, 5)], [("q", ["Z"], 0, 0, 1), ("p", ["A", "Z"], 1, 1, 1)], [
+            "UndefinedIndicatorError: journal q: no citable items in target window, IF undefined",
+            "KeyError: 'unknown category: Z'",
+        ]),
+    ],
+    ids=["empty-dataset", "zero-jcr-window", "unregistered-code"],
+)
+def test_cnif_terms_edge_cases_match_cnif(journals, probes, expected):
+    ds = Dataset([make_journal(*j) for j in journals])
+    probes = [make_journal(*p) for p in probes]
+    assert [outcome(lambda: cnif_fields(p, ds)) for p in probes] == expected
+    counts = [(p.id, p.categories, p.cited_in_window, p.items_window) for p in probes]
+    kernel = cnif_terms(ds, counts)
+    got = []
+    for _ in probes:  # a KeyError ends the pass
+        try:
+            got.append(kernel_outcome(next(kernel)))
+        except KeyError as exc:
+            got.append(f"KeyError: {exc}")
+    assert got == expected
 
 
 def test_column_left_unfinished_is_not_cached(monkeypatch):
