@@ -165,9 +165,9 @@ def _rank_rows(args) -> Outputs:
     columns = ("category", "journal_id", "score_desc", "score", "rank", "percentile")
     fmt = _formatter(args.digits)
     rows = [
-        (code, jid, args.scorer, fmt(s), rank, fmt(pct))
+        (code, ids[i], args.scorer, fmt(column[i]), rank, fmt(pct))
         for code in dataset.category_codes()
-        for s, jid, rank, pct in ranking._ranked(column, ids, dataset.member_rows(code))
+        for i, rank, pct in ranking._ranked(column, ids, dataset.member_rows(code))
     ]
     return 0, {"": (columns, rows)}
 
@@ -177,11 +177,8 @@ def _gap_rows(args) -> Outputs:
     summary, reports = ranking.compare_gaps(dataset)
     # compare_gaps ranked every row, so both columns hold only floats
     by_if, by_cnif = ranking.score_column(dataset, "if"), ranking.score_column(dataset, "cnif")
-    ids, categories = dataset.columns["id"], dataset.columns["categories"]
-    row_of = {jid: i for i, jid in enumerate(ids)}  # the row of each report's journal
-    fmt, rows = _formatter(args.digits), []
-    for r in reports:
-        i = row_of[r.journal_id]
+    categories, fmt, rows = dataset.columns["categories"], _formatter(args.digits), []
+    for i, r in zip(ranking._report_rows(dataset), reports):  # the row of each report's journal
         cells = map(fmt, (by_if[i], by_cnif[i], r.gap_if, r.gap_cnif))
         rows.append((r.journal_id, ";".join(categories[i]), *cells))
     columns = ("journal_id", "categories", "if", "cnif", "gap_if", "gap_cnif")

@@ -35,9 +35,11 @@ class JournalRecord:
     ``items_t*`` are citable-item counts in the census year t and the two
     target-window years.  ``cited_in_window`` counts citations received in
     year t to the t-1/t-2 volumes.  The three reference fields are optional:
-    absent means unknown, never zero.  An empty category list, a repeated
-    category code or a count that is negative or ``COUNT_LIMIT`` or more
-    raises ``ValueError``.
+    absent means unknown, never zero.  An empty id, an empty category list,
+    an empty code or one holding ";" (the CSV's code separator), a repeated
+    code, a lone surrogate (which UTF-8 cannot encode) in the id, name or a
+    code, or a count that is negative or ``COUNT_LIMIT`` or more raises
+    ``ValueError``: the parser can produce none of them.
     """
 
     id: str
@@ -52,11 +54,22 @@ class JournalRecord:
     refs_jcr_in_window: Optional[int] = None
 
     def __post_init__(self):
+        if not self.id:
+            raise ValueError("empty journal id")
         categories = tuple(self.categories)
         if not categories:
             raise ValueError(f"journal {self.id}: empty category list")
+        for code in categories:
+            if not code:
+                raise ValueError(f"journal {self.id}: empty category code")
+            if ";" in code:
+                raise ValueError(f"journal {self.id}: ';' in category code {code!r}")
         if len(categories) > 1 and len(set(categories)) != len(categories):
             raise ValueError(f"journal {self.id}: duplicate category codes")
+        try:  # str.encode refuses only a lone surrogate
+            "".join((self.id, self.name, *categories)).encode()
+        except UnicodeEncodeError:
+            raise ValueError(f"journal {self.id}: lone surrogate in id, name or code") from None
         object.__setattr__(self, "categories", categories)
         for name in COUNT_FIELDS:
             value = getattr(self, name)

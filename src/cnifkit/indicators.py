@@ -41,13 +41,6 @@ def impact_factor(journal: JournalRecord) -> float:
     return _impact_factor(journal.id, journal.cited_in_window, journal.items_t1 + journal.items_t2)
 
 
-def row_impact_factor(dataset: Dataset, row: int) -> float:
-    """``impact_factor`` of the journal at ``row``, read from the columns."""
-    c = dataset.columns
-    items = c["items_t1"][row] + c["items_t2"][row]
-    return _impact_factor(c["id"][row], c["cited_in_window"][row], items)
-
-
 def _impact_factor(journal_id: str, cited: int, items: int) -> float:
     if items == 0:
         raise UndefinedIndicatorError(
@@ -145,10 +138,13 @@ def meta_category_aggregate(dataset: Dataset, codes: Iterable[str]) -> CategoryA
     return _sums("+".join(sorted(codes)), *counts)
 
 
+_EMPTY_DATASET = "empty dataset has no whole-database aggregate"
+
+
 def jcr_aggregate(dataset: Dataset) -> CategoryAggregate:
     """Whole-database aggregate over every journal."""
     if not dataset.columns["id"]:
-        raise UndefinedIndicatorError("empty dataset has no whole-database aggregate")
+        raise UndefinedIndicatorError(_EMPTY_DATASET)
     return _table(dataset)[1]
 
 
@@ -237,7 +233,7 @@ def cnif_terms(
     try:  # the whole-database error, which every journal with an IF gets
         jcr_aif, undefined = aggregate_impact_factor(jcr), None
     except UndefinedIndicatorError as exc:  # an empty dataset's window is 0 too
-        undefined = str(exc) if c["id"] else "empty dataset has no whole-database aggregate"
+        undefined = str(exc) if c["id"] else _EMPTY_DATASET
     categories, t1, t2, ncited = c["categories"], c["items_t1"], c["items_t2"], c["cited_in_window"]
     for journal_id, codes, cited, items in journals:
         try:

@@ -49,8 +49,8 @@ class CategoryFixtureRow(_FixtureFields):
     Raw counts are exact integers; ``printed_*`` carry the table's rounded
     values and are ``None`` where the table shows "-".  They are kept for
     golden comparisons only and never fed back into arithmetic.  The
-    constructor checks that counts are non-negative and that p and w lie in
-    [0,1]; ``_make`` and ``_replace`` check nothing.
+    constructor checks that counts are non-negative and below ``COUNT_LIMIT``
+    and that p and w lie in [0,1]; ``_make`` and ``_replace`` check nothing.
     """
 
     __slots__ = ()
@@ -58,8 +58,11 @@ class CategoryFixtureRow(_FixtureFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         for name in ("refs_jcr", "refs_total", "ncited", "nciting"):
-            if getattr(self, name) < 0:
+            count = getattr(self, name)
+            if count < 0:
                 raise ValueError(f"{self.code}: negative count {name}")
+            if count >= COUNT_LIMIT:
+                raise ValueError(f"{self.code}: count {name} is 2**63 or more")
         for name in ("printed_p", "printed_w"):
             v = getattr(self, name)
             if v is not None and not (0.0 <= v <= 1.0):
@@ -248,10 +251,14 @@ def parse_category_fixture_csv(stream: IO[str]) -> list[CategoryFixtureRow]:
 
 
 def emit_journals_csv(dataset: Dataset, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(JOURNAL_HEADER)
     c = dataset.columns  # csv.writer writes an absent reference count, None, as ""
-    codes = map(";".join, c["categories"])
+    codes = list(map(";".join, c["categories"]))
+    # the writer quotes a field holding "\n" but not one holding a lone "\r",
+    # which the reader takes for a line end; then every field is quoted
+    split = any("\r" in text for column in (c["id"], c["name"], codes) for text in column)
+    quoting = csv.QUOTE_ALL if split else csv.QUOTE_MINIMAL
+    writer = csv.writer(stream, lineterminator="\n", quoting=quoting)
+    writer.writerow(JOURNAL_HEADER)
     writer.writerows(zip(c["id"], c["name"], codes, *(c[name] for name in COUNT_FIELDS)))
 
 

@@ -8,7 +8,7 @@ from typing import Iterable, Iterator
 
 from .core_model import Dataset, UndefinedIndicatorError
 # the benchmark tracer in perfbench/ patches ``ranking.cnif``, so the name stays bound
-from .indicators import cnif, cnif_terms, row_counts, row_impact_factor  # noqa: F401
+from .indicators import _impact_factor, cnif, cnif_terms, row_counts  # noqa: F401
 
 SCORERS = ("if", "cnif")
 
@@ -51,35 +51,35 @@ def score_column(dataset: Dataset, name: str) -> list:
     key = f"{name} scores"
     column = dataset._cache.get(key)
     if column is None:
-        rows = range(len(dataset.columns["id"]))
+        counts = row_counts(dataset, range(len(dataset.columns["id"])))
         if name == "cnif":  # one pass of the CNIF kernel over every row
-            terms = cnif_terms(dataset, row_counts(dataset, rows))
+            terms = cnif_terms(dataset, counts)
             column = [str(t) if isinstance(t, UndefinedIndicatorError) else t[-1] for t in terms]
         else:
             column = []
-            for row in rows:
+            for journal_id, _, cited, items in counts:
                 try:
-                    column.append(row_impact_factor(dataset, row))
+                    column.append(_impact_factor(journal_id, cited, items))
                 except UndefinedIndicatorError as exc:
                     column.append(str(exc))
         dataset._cache[key] = column  # only once every row has its score
     return column
 
 
-def _ranked(column: list, ids: tuple, rows: list[int]) -> Iterator[tuple[float, str, int, float]]:
-    """``(score, journal_id, rank, percentile)`` of each of the rows, ranked
-    as ``rank_category`` ranks a category's members."""
+def _ranked(column: list, ids: tuple, rows: list[int]) -> Iterator[tuple[int, int, float]]:
+    """``(row, rank, percentile)`` of each of the rows, ranked as
+    ``rank_category`` ranks a category's members."""
     scores = [column[i] for i in rows]
-    try:
-        ranked = sorted(zip(map(neg, scores), [ids[i] for i in rows]))
+    try:  # journal ids are unique, so the sort never compares two rows
+        ranked = sorted(zip(map(neg, scores), [ids[i] for i in rows], rows))
     except TypeError:  # a message, not a float: the first undefined score aborts
         raise UndefinedIndicatorError(next(s for s in scores if isinstance(s, str))) from None
     n = len(ranked)
     rank, last = 0, None
-    for pos, (key, jid) in enumerate(ranked, start=1):
+    for pos, (key, _, row) in enumerate(ranked, start=1):
         if key != last:
             rank, last = pos, key
-        yield -key, jid, rank, rank / n * 100.0
+        yield row, rank, rank / n * 100.0
 
 
 def rank_category(dataset: Dataset, category: str, scorer: str = "if") -> list[RankingEntry]:
@@ -87,9 +87,9 @@ def rank_category(dataset: Dataset, category: str, scorer: str = "if") -> list[R
     ties by journal id: tied scores share the smallest rank of their block
     ("1,1,3"), and the percentile is rank over category size times 100."""
     rows = dataset.member_rows(category)
-    column = score_column(dataset, scorer)
-    ranked = _ranked(column, dataset.columns["id"], rows)
-    return [RankingEntry(jid, category, s, rank, pct) for s, jid, rank, pct in ranked]
+    column, ids = score_column(dataset, scorer), dataset.columns["id"]
+    ranked = _ranked(column, ids, rows)
+    return [RankingEntry(ids[i], category, column[i], rank, pct) for i, rank, pct in ranked]
 
 
 def gap(journal_id: str, rankings: Iterable[list[RankingEntry]]) -> float:
@@ -100,42 +100,45 @@ def gap(journal_id: str, rankings: Iterable[list[RankingEntry]]) -> float:
     return max(pcts) - min(pcts)
 
 
-def _journal_gaps(dataset: Dataset, scorer: str) -> dict[str, float]:
-    """Each ranked journal's gap under the scorer, keyed by journal id."""
+def _report_rows(dataset: Dataset) -> list[int]:
+    """The rows of the journals listing two or more codes, in journal id
+    order: the journals ``compare_gaps`` reports, in its order."""
+    ids, categories = dataset.columns["id"], dataset.columns["categories"]
+    return sorted((i for i, cats in enumerate(categories) if len(cats) > 1), key=ids.__getitem__)
+
+
+def _journal_gaps(dataset: Dataset, scorer: str, rows: list[int]) -> list[float]:
+    """The gap under the scorer of the journal at each of the rows."""
     column, ids = score_column(dataset, scorer), dataset.columns["id"]
-    lo: dict[str, float] = {}
-    hi: dict[str, float] = {}
+    lo, hi = [math.inf] * len(ids), [-math.inf] * len(ids)
     for code in dataset.category_codes():
-        for _, jid, _, pct in _ranked(column, ids, dataset.member_rows(code)):
-            if pct < lo.get(jid, math.inf):
-                lo[jid] = pct
-            if pct > hi.get(jid, -math.inf):
-                hi[jid] = pct
-    return {jid: hi[jid] - p for jid, p in lo.items()}
+        for row, _, pct in _ranked(column, ids, dataset.member_rows(code)):
+            if pct < lo[row]:
+                lo[row] = pct
+            if pct > hi[row]:
+                hi[row] = pct
+    return [hi[i] - lo[i] for i in rows]
 
 
 def compare_gaps(dataset: Dataset) -> tuple[GapSummary, list[GapReport]]:
     """Gap under IF and CNIF of each multi-category journal, plus a summary.
 
     ``fraction_reduced`` counts strict decreases of the gap only.  The reports
-    come in ascending journal id order.
+    come in ascending journal id order, the order of ``_report_rows``.
     """
-    by_if = _journal_gaps(dataset, "if")
-    by_cnif = _journal_gaps(dataset, "cnif")
-    ids, categories = dataset.columns["id"], dataset.columns["categories"]
-    multi = sorted(jid for jid, cats in zip(ids, categories) if len(cats) > 1)
-    reports = [GapReport(jid, by_if[jid], by_cnif[jid]) for jid in multi]
+    rows, ids = _report_rows(dataset), dataset.columns["id"]
+    by_if, by_cnif = _journal_gaps(dataset, "if", rows), _journal_gaps(dataset, "cnif", rows)
+    reports = list(map(GapReport, [ids[i] for i in rows], by_if, by_cnif))
     if reports:
-        gaps_if = [r.gap_if for r in reports]
-        gaps_cnif = [r.gap_cnif for r in reports]
-        reduced = sum(1 for r in reports if r.gap_cnif < r.gap_if)
+        n = len(reports)
+        reduced = sum(c < i for i, c in zip(by_if, by_cnif))
         summary = GapSummary(
-            journal_count=len(reports),
-            max_gap_if=max(gaps_if),
-            max_gap_cnif=max(gaps_cnif),
-            mean_gap_if=sum(gaps_if) / len(gaps_if),
-            mean_gap_cnif=sum(gaps_cnif) / len(gaps_cnif),
-            fraction_reduced=reduced / len(reports),
+            journal_count=n,
+            max_gap_if=max(by_if),
+            max_gap_cnif=max(by_cnif),
+            mean_gap_if=sum(by_if) / n,
+            mean_gap_cnif=sum(by_cnif) / n,
+            fraction_reduced=reduced / n,
         )
     else:
         summary = GapSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)

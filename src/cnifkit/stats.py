@@ -233,11 +233,12 @@ def ward_cluster(
         x = x[order]
         leaf_labels = tuple(labels[i] for i in order)
 
-        # 32 rows at a time, so no n x n x dim difference array is held; each
+        # 8 rows at a time, so no n x n x dim difference array is held (the
+        # block sets the peak memory of clustering the bundled table); each
         # entry is the same length-dim sum, so d is bit-identical to one pass
         d = np.empty((n, n))
-        for s in range(0, n, 32):
-            d[s : s + 32] = np.sum((x[s : s + 32, None, :] - x[None, :, :]) ** 2, axis=2)
+        for s in range(0, n, 8):
+            d[s : s + 8] = np.sum((x[s : s + 8, None, :] - x[None, :, :]) ** 2, axis=2)
         np.fill_diagonal(d, np.inf)  # merged-away rows and columns become inf too
         ids = list(range(n))  # row -> cluster id; row i keeps a merge of rows i < j
         tags = list(leaf_labels)

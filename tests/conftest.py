@@ -1,5 +1,4 @@
 import random
-from functools import partial
 
 import pytest
 
@@ -10,7 +9,7 @@ from cnifkit.core_model import (
     UndefinedIndicatorError,
     Violation,
 )
-from cnifkit.indicators import cnif, row_impact_factor
+from cnifkit.indicators import cnif, impact_factor
 from cnifkit.ingest import parse_category_fixture_csv
 from cnifkit.ranking import GapReport, GapSummary, RankingEntry
 from cnifkit.reference import bundled_fixture_path
@@ -104,7 +103,7 @@ def oracle_score_function(dataset, name):
     """The score of a journal's row under a scorer name, computed on every
     call: the scorer that the score columns replaced."""
     if name == "if":
-        return partial(row_impact_factor, dataset)
+        return lambda row: impact_factor(dataset.journals[row])
     if name == "cnif":
         return lambda row: cnif(dataset.journals[row], dataset).cnif
     raise ValueError(f"unknown scorer: {name!r}")

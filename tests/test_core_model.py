@@ -1,5 +1,6 @@
 import io
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,9 +27,19 @@ RECORD = dict(
 
 @pytest.mark.parametrize(
     "field, value, message",
-    [("categories", (), "journal j1: empty category list")]
+    [
+        ("id", "", "empty journal id"),
+        ("categories", (), "journal j1: empty category list"),
+        ("categories", ("",), "journal j1: empty category code"),
+        ("categories", ("A", ""), "journal j1: empty category code"),
+        ("categories", ("A;B",), "journal j1: ';' in category code 'A;B'"),
+        ("name", "J\ud800", "journal j1: lone surrogate in id, name or code"),
+    ]
     + [(name, -3, f"journal j1: negative count in {name}: -3") for name in COUNT_FIELDS],
-    ids=["categories", *COUNT_FIELDS],
+    ids=[
+        "id", "categories", "empty-code", "empty-second-code", "separator-in-code", "surrogate",
+        *COUNT_FIELDS,
+    ],
 )
 def test_record_rejects_break_of_its_own_rules(field, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -93,6 +104,37 @@ REFERENCE_COUNT = st.none() | st.integers(0, 20)
 def test_validate_equals_record_walk(refs):
     journals = [make_journal(f"j{i}", ["A"], 1, 1, 1, refs=r) for i, r in enumerate(refs)]
     assert validate(make_dataset(journals)) == oracle_validate(journals)
+
+
+TEXT = st.text(max_size=4)
+if sys.version_info < (3, 11):  # its csv module neither writes nor reads NUL; later ones do
+    TEXT = TEXT.filter(lambda text: "\x00" not in text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(TEXT, TEXT, st.lists(TEXT, max_size=3), st.integers(0, 3), REFERENCE_COUNT),
+        max_size=3,
+    )
+)
+@example([("j1", "a\rb", ["A"], 1, None)])  # a lone carriage return in a field
+@example([("j1", "\ud800", ["A"], 1, None)])  # a lone surrogate, which UTF-8 cannot encode
+@example([("j1", "", ["A", "B;C"], 1, 2)])
+def test_record_the_api_accepts_reads_back_as_written(drawn):
+    # either the record or the dataset refuses the drawn fields, or the
+    # dataset, written as a UTF-8 file, reads back as it was written
+    try:
+        ds = make_dataset(
+            JournalRecord(jid, name, codes, n, n, n, n, refs, refs, refs)
+            for jid, name, codes, n, refs in drawn
+        )
+    except ValueError:
+        return
+    out = io.StringIO()
+    emit_journals_csv(ds, out)
+    text = out.getvalue().encode("utf-8").decode("utf-8-sig")  # as read_csv reads the file
+    assert parse_journals_csv(io.StringIO(text, newline=""), strict=False) == ds
 
 
 @given(st.randoms(use_true_random=False))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnifkit.core_model import Edition
+from cnifkit.core_model import COUNT_LIMIT, Edition
 from cnifkit.ingest import (
     _EDITIONS,
     FIXTURE_HEADER,
@@ -166,6 +166,15 @@ class TestRow:
     def test_negative_count_raises(self, count):
         with pytest.raises(ValueError, match=f"^S1: negative count {count}$"):
             CategoryFixtureRow(**{**self.FIELDS, count: -1})
+
+    @pytest.mark.parametrize("count", ["refs_jcr", "refs_total", "ncited", "nciting"])
+    @pytest.mark.parametrize("value", [COUNT_LIMIT, 10**400])
+    def test_count_the_parser_rejects_raises(self, count, value):
+        # the parser's bound; past it fixture_reference_components overflows
+        with pytest.raises(ValueError, match=rf"^S1: count {count} is 2\*\*63 or more$"):
+            CategoryFixtureRow(**{**self.FIELDS, count: value})
+        row = CategoryFixtureRow(**{**self.FIELDS, count: COUNT_LIMIT - 1})
+        assert getattr(row, count) == COUNT_LIMIT - 1
 
     @pytest.mark.parametrize("share", ["printed_p", "printed_w"])
     @pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])

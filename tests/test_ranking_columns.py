@@ -1,10 +1,11 @@
 """Rankings and gaps read from the score columns, against the per-call walk.
 
 The oracles in ``conftest`` score each member on every call, sort entries
-and keep every percentile of a journal; ``rank_category``, the ``rank``
-command's rows and ``compare_gaps`` must give the same floats, ranks and
-first error; the CNIF kernel, over every row in any order, and the ``cnif``
-command must give ``cnif()``'s floats and first error.  Hypothesis draws
+and keep every percentile of a journal; ``rank_category``, ``compare_gaps``
+and the rows of the ``rank`` and ``gap`` commands (``gap``'s summary too)
+must give the same floats, ranks and first error; the CNIF kernel, over
+every row in any order, and the ``cnif`` command must give ``cnif()``'s
+floats and first error.  Hypothesis draws
 API-built datasets whose journals list 1 to 4 codes, with ties between equal
 rationals written differently (scaled copies of another journal's counts),
 zero target windows, and codes whose members all have zero citations, so
@@ -26,10 +27,16 @@ from hypothesis import strategies as st
 
 from cnifkit import cli, ingest, ranking
 from cnifkit.core_model import Dataset, UndefinedIndicatorError
-from cnifkit.indicators import cnif, cnif_terms, row_counts, row_impact_factor
+from cnifkit.indicators import _impact_factor, cnif, cnif_terms, row_counts
 from cnifkit.ranking import compare_gaps, rank_category
 
-from conftest import make_dataset, make_journal, oracle_compare_gaps, oracle_rank_category
+from conftest import (
+    make_dataset,
+    make_journal,
+    oracle_compare_gaps,
+    oracle_rank_category,
+    oracle_score_function,
+)
 
 CODES = ("A", "B", "C", "D", "E")
 MAX_COUNT = (2**63 - 1) // 5  # five times it still parses: a count must be below 2**63
@@ -104,9 +111,9 @@ def expected_run(columns, compute_rows):
     return 0, out.getvalue(), ""
 
 
-def run_command(ds, argv):
-    """Exit code, --out file (None when absent) and stderr of ``argv`` on
-    ``ds`` written as a journal CSV."""
+def run_command(ds, argv, suffixes=("",)):
+    """Exit code, the --out file with each suffix (None when absent) and
+    stderr of ``argv`` on ``ds`` written as a journal CSV."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "out.csv")
         with open(path, "w", encoding="utf-8") as f:
@@ -114,8 +121,9 @@ def run_command(ds, argv):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli.main(argv + ["--input", path, "--out", out])
-        written = open(out, encoding="utf-8").read() if os.path.exists(out) else None
-    return code, written, err.getvalue()
+        paths = [out + suffix for suffix in suffixes]
+        written = [open(p, encoding="utf-8").read() if os.path.exists(p) else None for p in paths]
+    return code, *written, err.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,6 +140,37 @@ def test_rank_rows_match_oracle(ds, scorer, digits):
     columns = ("category", "journal_id", "score_desc", "score", "rank", "percentile")
     argv = ["rank", "--scorer", scorer, "--digits", str(digits)]
     assert run_command(ds, argv) == expected_run(columns, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets(), st.sampled_from([0, 3, 17]))
+def test_gap_rows_match_oracle(ds, digits):
+    measures = ("max_gap_if", "max_gap_cnif", "mean_gap_if", "mean_gap_cnif", "fraction_reduced")
+
+    def outputs():  # the main output and the summary, as CSV text
+        summary, reports = oracle_compare_gaps(ds)
+        fmt = cli._formatter(digits)
+        ids, categories = ds.columns["id"], ds.columns["categories"]
+        row_of = {jid: i for i, jid in enumerate(ids)}
+        score_if, score_cnif = oracle_score_function(ds, "if"), oracle_score_function(ds, "cnif")
+        rows = []
+        for r in reports:
+            i = row_of[r.journal_id]
+            cells = map(fmt, (score_if(i), score_cnif(i), r.gap_if, r.gap_cnif))
+            rows.append((r.journal_id, ";".join(categories[i]), *cells))
+        summary_row = (summary.journal_count, *(fmt(getattr(summary, m)) for m in measures))
+        columns = ("journal_id", "categories", "if", "cnif", "gap_if", "gap_cnif")
+        return (
+            ingest.dumps_report(columns, rows, "csv"),
+            ingest.dumps_report(("journal_count", *measures), [summary_row], "csv"),
+        )
+
+    try:
+        expected = (0, *outputs(), "")
+    except ValueError as exc:  # the first undefined score: no output at all
+        expected = (1, None, None, f"error: {exc}\n")
+    argv = ["gap", "--digits", str(digits)]
+    assert run_command(ds, argv, ("", ".summary")) == expected
 
 
 def kernel_outcome(terms) -> str:
@@ -212,12 +251,12 @@ def test_cnif_terms_edge_cases_match_cnif(journals, probes, expected):
 def test_column_left_unfinished_is_not_cached(monkeypatch):
     ds = make_dataset([make_journal("j1", ["A"], 1, 0, 2), make_journal("j2", ["A"], 1, 0, 1)])
 
-    def interrupted(dataset, row):
-        if row == 1:
+    def interrupted(journal_id, cited, items):
+        if journal_id == "j2":
             raise RuntimeError("interrupted")
-        return row_impact_factor(dataset, row)
+        return _impact_factor(journal_id, cited, items)
 
-    monkeypatch.setattr(ranking, "row_impact_factor", interrupted)
+    monkeypatch.setattr(ranking, "_impact_factor", interrupted)
     with pytest.raises(RuntimeError):
         rank_category(ds, "A")
     monkeypatch.undo()

@@ -343,14 +343,15 @@ class TestWard:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.sampled_from([31, 32, 33, 64, 65]),
+        st.sampled_from([7, 8, 9, 16, 17, 31, 32, 33, 64, 65]),
         st.integers(1, 12),
         st.integers(0, 2**32 - 1),
         st.booleans(),
     )
     def test_float_distances_bit_identical_to_dense_matrix(self, n, dim, seed, standardize):
-        # sizes on either side of the 32-row distance blocks, float sums in any
-        # order: a per-dimension sum differs from numpy's pairwise one from dim 8
+        # sizes on either side of 1, 2, 4 and 8 of the 8-row distance blocks,
+        # float sums in any order: a per-dimension sum differs from numpy's
+        # pairwise one from dim 8
         rng = np.random.default_rng(seed)
         points = (rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 4, dim)).tolist()
         labels = [f"v{i:02d}" for i in rng.permutation(n)]
