@@ -10,9 +10,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import indicators, ingest, ranking, reference, stats
 from .core_model import Edition, clip, validate
@@ -319,8 +318,7 @@ def _table4_rows(args) -> Outputs:
     return _checked(("edition", "component", "band", *CHECK_COLUMNS), rows)
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     name: str  # "stats corr" is the subcommand corr of stats
     rows: Callable[[argparse.Namespace], Outputs]
     source: str = "--fixture"  # or "--input", which is then required
@@ -358,6 +356,15 @@ COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, its ``error:`` line cut to 120 characters: argparse
+    echoes unrecognized arguments and an unknown command whole."""
+
+    def error(self, message):
+        width = 120 - len(f"{self.prog}: error: ")
+        super().error(message if len(message) <= width else message[: width - 3] + "...")
+
+
 def _add_arguments(parser: argparse.ArgumentParser, command: Command) -> None:
     if command.source == "--input":
         parser.add_argument("--input", required=True, help="journal-level CSV")
@@ -372,7 +379,7 @@ def _add_arguments(parser: argparse.ArgumentParser, command: Command) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cnifkit")
+    parser = _Parser(prog="cnifkit")
     sub = parser.add_subparsers(dest="command", required=True)
     groups = {"": sub}
     for command in COMMANDS:
@@ -394,7 +401,7 @@ def parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
         words = command.name.split()
         if argv[: len(words)] == words:
             # the full tree hands a command's parser exactly these arguments
-            parser = argparse.ArgumentParser(prog=f"cnifkit {command.name}")
+            parser = _Parser(prog=f"cnifkit {command.name}")
             _add_arguments(parser, command)
             args, rest = parser.parse_known_args(argv[len(words) :])
             if not rest:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class Edition(Enum):
@@ -85,8 +85,7 @@ class JournalRecord:
         return self.items_t1 + self.items_t2
 
 
-@dataclass(frozen=True, slots=True)
-class CategoryAggregate:
+class CategoryAggregate(NamedTuple):
     """Summed raw counts for a category or meta-category.
 
     ``reference_exclusions`` counts member journals left out of the
@@ -208,8 +207,7 @@ class Dataset:
         return sorted(self._members)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     record_id: str
     rule: str
 

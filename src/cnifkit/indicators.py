@@ -1,9 +1,8 @@
 """Impact-indicator arithmetic: IF, AIF, weights, components, CNIF."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core_model import (
     COUNT_FIELDS,
@@ -15,14 +14,12 @@ from .core_model import (
 )
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     journal_id: str
     value: float
 
 
-@dataclass(frozen=True)
-class NormalizedScore:
+class NormalizedScore(NamedTuple):
     """A journal's IF together with its category-normalized rescaling.
 
     ``score`` is the whole-database AIF over the AIF of the union of the
@@ -225,10 +222,12 @@ def cnif_terms(
 ) -> Iterator[tuple[float, float, float, float, float] | UndefinedIndicatorError]:
     """For each ``(journal_id, codes, cited_in_window, items_window)``: the
     fields of ``cnif`` after ``journal_id``, or the ``UndefinedIndicatorError``
-    that leaves that journal undefined.  The table, the whole-database AIF and
-    the columns are read once; an unregistered code raises ``KeyError``."""
+    that leaves that journal undefined.  The table (each code's window items,
+    citations and shared rows), the whole-database AIF and the columns are
+    read once; an unregistered code raises ``KeyError``."""
     c = dataset.columns
     by_code, jcr = _table(dataset)
+    sums = {code: (agg.items_window, agg.ncited, shared) for code, (agg, shared) in by_code.items()}
     jcr_cited, jcr_items = jcr.ncited, jcr.items_window
     try:  # the whole-database error, which every journal with an IF gets
         jcr_aif, undefined = aggregate_impact_factor(jcr), None
@@ -243,11 +242,11 @@ def cnif_terms(
             union_items = union_cited = 0
             seen: set[str] = set()
             for code in codes:
-                if code not in by_code:
+                if code not in sums:
                     raise KeyError(f"unknown category: {code}")
-                agg, shared = by_code[code]
-                union_items += agg.items_window
-                union_cited += agg.ncited
+                items_window, cited_in_window, shared = sums[code]
+                union_items += items_window
+                union_cited += cited_in_window
                 if seen:
                     for m in shared:
                         if not seen.isdisjoint(categories[m]):  # counted with an earlier code

@@ -2,9 +2,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import neg
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core_model import Dataset, UndefinedIndicatorError
 # the benchmark tracer in perfbench/ patches ``ranking.cnif``, so the name stays bound
@@ -13,8 +12,7 @@ from .indicators import _impact_factor, cnif, cnif_terms, row_counts  # noqa: F4
 SCORERS = ("if", "cnif")
 
 
-@dataclass(frozen=True)
-class RankingEntry:
+class RankingEntry(NamedTuple):
     journal_id: str
     category: str
     score: float
@@ -22,15 +20,13 @@ class RankingEntry:
     percentile: float
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     journal_id: str
     gap_if: float
     gap_cnif: float
 
 
-@dataclass(frozen=True)
-class GapSummary:
+class GapSummary(NamedTuple):
     journal_count: int
     max_gap_if: float
     max_gap_cnif: float

@@ -7,8 +7,7 @@ standard-deviation-band histograms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .core_model import clip
 
@@ -17,8 +16,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(NamedTuple):
     labels: tuple[str, ...]
     values: np.ndarray  # square, aligned with labels on both axes
 
@@ -27,23 +25,20 @@ class Matrix:
         return float(self.values[i, j])
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(NamedTuple):
     eigenvalues: np.ndarray  # descending
     eigenvectors: np.ndarray  # columns, orthonormal, aligned with eigenvalues
     variance_shares: np.ndarray
 
 
-@dataclass(frozen=True)
-class PcaResult:
+class PcaResult(NamedTuple):
     labels: tuple[str, ...]
     eigen: EigenResult
     attributed_shares: dict[str, float]
     assignment: tuple[str, ...]  # variable credited with each eigenvalue, descending
 
 
-@dataclass(frozen=True)
-class Merge:
+class Merge(NamedTuple):
     left: int
     right: int
     height: float
@@ -51,14 +46,12 @@ class Merge:
     size: int
 
 
-@dataclass(frozen=True)
-class Dendrogram:
+class Dendrogram(NamedTuple):
     leaf_labels: tuple[str, ...]
     merges: tuple[Merge, ...]
 
 
-@dataclass(frozen=True)
-class KsResult:
+class KsResult(NamedTuple):
     statistic: float
     sample_size: int
     alpha: float
@@ -66,8 +59,7 @@ class KsResult:
     reject: bool
 
 
-@dataclass(frozen=True)
-class SdHistogram:
+class SdHistogram(NamedTuple):
     mean: float
     sd: float
     bin_counts: tuple[int, ...]  # 8 bands from below m-3s to above m+3s

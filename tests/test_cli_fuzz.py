@@ -12,7 +12,8 @@ verdict it writes: validate's violations or a reproduction's mismatches.
 Fixed odd values of --digits, --alpha, --k and --height, repeated flags, a
 value outside --edition's or --scorer's choices, and an --out path in a
 missing directory, are held to the same rules; an error line echoes at most
-a few characters of a long value, and a repeated flag takes its last value.
+a few characters of a long value, argparse's own error line is at most 120
+characters, and a repeated flag takes its last value.
 Hypothesis also draws argv for every command from ``cli.ARGUMENTS`` and the
 command's flags, with odd values, repeated flags and --out in a missing
 directory, and holds each run to the same rules.
@@ -232,6 +233,23 @@ def test_value_outside_choices_is_a_usage_error(argv, source, tmp_path, capsys):
     assert f"invalid choice: {shown!r}" in err, err
     if shown != value:
         assert value[: len(shown)] not in err, err
+
+
+# argparse's own messages: the arguments it does not recognize, an unknown
+# command, and the choices listed after a clipped --edition value
+LONG_MESSAGES = [
+    ["rank", "--input", "in.csv", "x" * 3000],
+    ["x" * 3000],
+    ["stats", "cluster", "--edition", "x" * 30],
+]
+
+
+@pytest.mark.parametrize("argv", LONG_MESSAGES, ids=["unrecognized", "command", "choices"])
+def test_argparse_error_line_is_cut_to_120_characters(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and len(errors[0]) == 120 and errors[0].endswith("..."), err
 
 
 # ROADMAP item 16's option values; JOURNAL_CSV stands for the path of the

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cnifkit.core_model import CategoryAggregate, ComponentVector, UndefinedIndicatorError
+from cnifkit.core_model import (
+    COUNT_LIMIT,
+    CategoryAggregate,
+    ComponentVector,
+    JournalRecord,
+    UndefinedIndicatorError,
+)
 from cnifkit import indicators
 from cnifkit.cli import main
 from cnifkit.ingest import emit_journals_csv
@@ -31,7 +37,7 @@ from cnifkit.indicators import (
     weighted_mean_aif,
 )
 
-from conftest import make_dataset, make_journal, random_journal
+from conftest import make_dataset, make_journal, oracle_aggregate, random_journal
 
 
 def exact_scores(ds, j):
@@ -92,6 +98,37 @@ class TestCategoryAggregate:
         a = category_aggregate(ds, "A")
         assert a.refs_total == 10
         assert a.reference_exclusions == 1
+
+
+# codes from a small pool, so that journals share them; "Z" is listed by none
+FUZZ_COUNT = st.integers(0, 3) | st.just(COUNT_LIMIT - 1)
+FUZZ_REFS = st.none() | FUZZ_COUNT
+FUZZ_RECORD = st.tuples(
+    st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=3, unique=True),
+    FUZZ_COUNT, FUZZ_COUNT, FUZZ_COUNT, FUZZ_COUNT, FUZZ_REFS, FUZZ_REFS, FUZZ_REFS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FUZZ_RECORD, max_size=5), st.sampled_from(["A", "B", "C", "Z"]))
+def test_aggregate_api_returns_its_type_or_a_value_or_key_error(drawn, code):
+    # zero windows, zero and near-limit counts, absent references, unknown
+    # codes and the empty dataset (a record refuses a code it repeats): each
+    # call returns its type or raises KeyError or UndefinedIndicatorError
+    ds = make_dataset(JournalRecord(f"j{i}", "", *fields) for i, fields in enumerate(drawn))
+    try:
+        agg = category_aggregate(ds, code)
+    except KeyError:
+        assert code not in ds.category_codes()
+    else:
+        assert type(agg) is CategoryAggregate
+        assert agg == oracle_aggregate(ds.members(code), code)
+    try:
+        mean = weighted_mean_aif(ds, code)
+    except (KeyError, UndefinedIndicatorError):
+        pass
+    else:
+        assert type(mean) is float and math.isfinite(mean)
 
 
 class TestAif:

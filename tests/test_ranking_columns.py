@@ -18,7 +18,6 @@ import contextlib
 import io
 import os
 import tempfile
-from dataclasses import astuple
 from operator import attrgetter
 
 import pytest
@@ -183,7 +182,7 @@ def kernel_outcome(terms) -> str:
 
 def cnif_fields(j, ds) -> tuple:
     """The five fields of cnif() after journal_id."""
-    return astuple(cnif(j, ds))[1:]
+    return tuple(cnif(j, ds))[1:]
 
 
 @settings(max_examples=100, deadline=None)
