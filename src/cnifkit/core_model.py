@@ -1,7 +1,6 @@
 """Domain types and dataset validation shared by all other modules."""
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
@@ -28,20 +27,7 @@ def clip(value) -> str:
     return text if len(text) <= CLIP_WIDTH else text[: CLIP_WIDTH - 3] + "..."
 
 
-@dataclass(frozen=True, slots=True)
-class JournalRecord:
-    """One journal's per-year counts and category memberships.
-
-    ``items_t*`` are citable-item counts in the census year t and the two
-    target-window years.  ``cited_in_window`` counts citations received in
-    year t to the t-1/t-2 volumes.  The three reference fields are optional:
-    absent means unknown, never zero.  An empty id, an empty category list,
-    an empty code or one holding ";" (the CSV's code separator), a repeated
-    code, a lone surrogate (which UTF-8 cannot encode) in the id, name or a
-    code, or a count that is negative or ``COUNT_LIMIT`` or more raises
-    ``ValueError``: the parser can produce none of them.
-    """
-
+class _JournalFields(NamedTuple):
     id: str
     name: str
     categories: tuple[str, ...]
@@ -53,32 +39,57 @@ class JournalRecord:
     refs_jcr: Optional[int] = None
     refs_jcr_in_window: Optional[int] = None
 
-    def __post_init__(self):
-        if not self.id:
+
+class JournalRecord(_JournalFields):
+    """One journal's per-year counts and category memberships, as a named tuple.
+
+    ``items_t*`` are citable-item counts in the census year t and the two
+    target-window years.  ``cited_in_window`` counts citations received in
+    year t to the t-1/t-2 volumes.  The three reference fields are optional:
+    absent means unknown, never zero.  ``categories`` is stored as a tuple.
+    An empty id, an empty category list, an empty code or one holding ";"
+    (the CSV's code separator), a repeated code, a lone surrogate (which
+    UTF-8 cannot encode) in the id, name or a code, or a count that is
+    negative or ``COUNT_LIMIT`` or more raises ``ValueError``: the parser can
+    produce none of them.  ``_make`` and ``_replace`` check as the
+    constructor does.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        jid = self.id
+        if not jid:
             raise ValueError("empty journal id")
         categories = tuple(self.categories)
         if not categories:
-            raise ValueError(f"journal {self.id}: empty category list")
+            raise ValueError(f"journal {jid}: empty category list")
         for code in categories:
             if not code:
-                raise ValueError(f"journal {self.id}: empty category code")
+                raise ValueError(f"journal {jid}: empty category code")
             if ";" in code:
-                raise ValueError(f"journal {self.id}: ';' in category code {code!r}")
+                raise ValueError(f"journal {jid}: ';' in category code {code!r}")
         if len(categories) > 1 and len(set(categories)) != len(categories):
-            raise ValueError(f"journal {self.id}: duplicate category codes")
+            raise ValueError(f"journal {jid}: duplicate category codes")
         try:  # str.encode refuses only a lone surrogate
-            "".join((self.id, self.name, *categories)).encode()
+            "".join((jid, self.name, *categories)).encode()
         except UnicodeEncodeError:
-            raise ValueError(f"journal {self.id}: lone surrogate in id, name or code") from None
-        object.__setattr__(self, "categories", categories)
-        for name in COUNT_FIELDS:
-            value = getattr(self, name)
+            raise ValueError(f"journal {jid}: lone surrogate in id, name or code") from None
+        for name, value in zip(COUNT_FIELDS, self[3:]):
             if value is None:
                 continue
             if value < 0:
-                raise ValueError(f"journal {self.id}: negative count in {name}: {value}")
+                raise ValueError(f"journal {jid}: negative count in {name}: {value}")
             if value >= COUNT_LIMIT:
-                raise ValueError(f"journal {self.id}: count in {name} is 2**63 or more")
+                raise ValueError(f"journal {jid}: count in {name} is 2**63 or more")
+        if categories is not self.categories:
+            self = tuple.__new__(cls, (jid, self.name, categories, *self[3:]))
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def items_window(self) -> int:
@@ -107,33 +118,44 @@ class CategoryAggregate(NamedTuple):
         return self.a_t1 + self.a_t2
 
 
-@dataclass(frozen=True)
-class ComponentVector:
-    """The five multiplicative factors of an aggregate impact factor.
-
-    a: growth ratio of citable items, r: mean references per citable item,
-    p: fraction of references to indexed items, w: fraction of indexed
-    references inside the target window, b: cited-to-citing ratio.
-    """
-
+class _ComponentFields(NamedTuple):
     a: float
     r: float
     p: float
     w: float
     b: float
 
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError(f"component a must be positive, got {self.a}")
-        if self.r < 0 or self.b < 0:
+
+class ComponentVector(_ComponentFields):
+    """The five multiplicative factors of an aggregate impact factor.
+
+    a: growth ratio of citable items, r: mean references per citable item,
+    p: fraction of references to indexed items, w: fraction of indexed
+    references inside the target window, b: cited-to-citing ratio.
+    ``_make`` and ``_replace`` check as the constructor does.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        a, r, p, w, b = self
+        if a <= 0:
+            raise ValueError(f"component a must be positive, got {a}")
+        if r < 0 or b < 0:
             raise ValueError("components r and b must be non-negative")
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError(f"component p must lie in [0,1], got {self.p}")
-        if not (0.0 <= self.w <= 1.0):
-            raise ValueError(f"component w must lie in [0,1], got {self.w}")
+        if not (0.0 <= p <= 1.0):
+            raise ValueError(f"component p must lie in [0,1], got {p}")
+        if not (0.0 <= w <= 1.0):
+            raise ValueError(f"component w must lie in [0,1], got {w}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-FIELDS = tuple(f.name for f in fields(JournalRecord))  # the columns of a Dataset, in order
+FIELDS = JournalRecord._fields  # the columns of a Dataset, in order
 COUNT_FIELDS = FIELDS[3:]
 
 

@@ -78,12 +78,17 @@ def journal_weight(journal: JournalRecord, agg: CategoryAggregate) -> Weight:
 
 
 def weighted_mean_aif(dataset: Dataset, code: str) -> float:
-    """AIF as the item-weighted mean of member IFs; identical to the ratio form."""
+    """AIF as the item-weighted mean of member IFs; identical to the ratio form.
+
+    A member with no window items has weight 0.  It is skipped when it has no
+    citations either.  When it has some, which the ratio form counts, its
+    undefined IF raises ``UndefinedIndicatorError``.
+    """
     agg = category_aggregate(dataset, code)
     total = 0.0
     for j in dataset.members(code):
         w = journal_weight(j, agg).value
-        if w == 0.0:
+        if w == 0.0 and j.cited_in_window == 0:
             continue
         total += w * impact_factor(j)
     return total

@@ -6,7 +6,7 @@ compared against recomputed values at the documented tolerances.
 """
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 # Pairwise component correlations per edition, upper triangle.
 CORRELATIONS = {
@@ -95,4 +95,4 @@ REPORTED_FRACTION_REDUCED = 0.51
 
 def bundled_fixture_path() -> str:
     """Path of the category table shipped with the package."""
-    return str(resources.files("cnifkit").joinpath("data/jcr2010_categories.csv"))
+    return os.path.join(os.path.dirname(__file__), "data", "jcr2010_categories.csv")

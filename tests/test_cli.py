@@ -607,6 +607,22 @@ class TestDeterminism:
             assert outputs[0] == outputs[1]
 
 
+def test_cli_import_loads_no_costly_module():
+    # each of these took milliseconds of `import cnifkit.cli`; -S keeps out the
+    # modules that `site` imports, -E the environment's PYTHONPATH, and -B
+    # writes no bytecode into the checkout
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    costly = ("dataclasses", "inspect", "importlib.resources", "numpy")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import cnifkit.cli; "
+        f"print(*[m for m in {costly!r} if m in sys.modules])"
+    )
+    argv = [sys.executable, "-B", "-E", "-S", "-c", code]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 # Runs each argv of the JSON list in argv[2] through cnifkit.cli.main and prints
 # the exit codes and whether numpy was loaded after `import cnifkit.stats` and
 # after the commands; with argv[1] == "block" every numpy import raises.

@@ -95,10 +95,13 @@ JOURNAL_COMMANDS = [
 
 @pytest.fixture
 def no_records(monkeypatch):
-    def no_record(self):
-        raise AssertionError(f"JournalRecord built for {self.id}")
+    def no_record(cls, *args, **kwargs):
+        raise AssertionError(f"JournalRecord built from {args or kwargs}")
 
-    monkeypatch.setattr(JournalRecord, "__post_init__", no_record)
+    # the constructor, _make, _replace, pickle and copy all pass through __new__
+    monkeypatch.setattr(JournalRecord, "__new__", no_record)
+    with pytest.raises(AssertionError):
+        JournalRecord._make(("j1", "J", ("A",), 0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("command", JOURNAL_COMMANDS, ids=" ".join)

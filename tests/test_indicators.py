@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -189,15 +188,32 @@ class TestWeightedMeanIdentity:
         js = [make_journal("j1", ["A"], 5, 5, 10), make_journal("j2", ["A"], 5, 5, 30)]
         assert weighted_mean_aif(make_dataset(js), "A") == pytest.approx(2.0)
 
+    def test_member_with_citations_but_no_window_items_raises(self):
+        js = [make_journal("j1", ["A"], 0, 0, 5), make_journal("j2", ["A"], 5, 5, 10)]
+        ds = make_dataset(js)
+        assert aggregate_impact_factor(category_aggregate(ds, "A")) == 1.5
+        with pytest.raises(UndefinedIndicatorError, match="^journal j1: "):
+            weighted_mean_aif(ds, "A")
+
     @settings(max_examples=50)
-    @given(st.integers(0, 2**32))
-    def test_identity_with_ratio_form(self, seed):
+    @given(st.integers(0, 2**32), st.integers(0, 3))
+    def test_identity_with_ratio_form(self, seed, empty):
+        # `empty` members have no window items, and about half of them have citations
         rng = random.Random(seed)
         journals = [random_journal(rng, f"j{i}", ["A"]) for i in range(10)]
+        journals += [
+            make_journal(f"e{i}", ["A"], 0, 0, rng.choice([0, rng.randint(1, 10**6)]), items_t=1)
+            for i in range(empty)
+        ]
+        rng.shuffle(journals)
         ds = make_dataset(journals)
-        lhs = weighted_mean_aif(ds, "A")
         rhs = aggregate_impact_factor(category_aggregate(ds, "A"))
-        assert lhs == pytest.approx(rhs, rel=1e-9)
+        undefined = [j.id for j in journals if j.items_window == 0 and j.cited_in_window]
+        if undefined:
+            with pytest.raises(UndefinedIndicatorError, match=f"^journal {undefined[0]}: "):
+                weighted_mean_aif(ds, "A")
+        else:
+            assert weighted_mean_aif(ds, "A") == pytest.approx(rhs, rel=1e-9)
 
 
 class TestComponents:
@@ -472,7 +488,7 @@ class TestMetamorphic:
         journals = _metamorphic_journals(rng)
         ds = make_dataset(journals)
         members = ds.members("A")
-        copies = [dataclasses.replace(j, id=j.id + "-copy") for j in members]
+        copies = [j._replace(id=j.id + "-copy") for j in members]
         doubled = make_dataset(journals + copies)
         before = aggregate_impact_factor(category_aggregate(ds, "A"))
         assert aggregate_impact_factor(category_aggregate(doubled, "A")) == before
@@ -485,7 +501,7 @@ class TestMetamorphic:
     def test_scaling_citations_scales_if_and_keeps_cnif_ranks(self, seed, k):
         rng = random.Random(seed)
         journals = _metamorphic_journals(rng)
-        scaled = [dataclasses.replace(j, cited_in_window=k * j.cited_in_window) for j in journals]
+        scaled = [j._replace(cited_in_window=k * j.cited_in_window) for j in journals]
         for j, js in zip(journals, scaled):
             assert math.isclose(impact_factor(js), k * impact_factor(j), rel_tol=1e-12)
         ranks = []

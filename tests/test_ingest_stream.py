@@ -9,7 +9,6 @@ an equal dataset, or the same first ParseError line and message.
 """
 import copy
 import csv
-import dataclasses
 import io
 import pickle
 from pathlib import Path
@@ -303,7 +302,6 @@ class TestSlottedRecord:
     def test_no_instance_dict(self):
         j = self.record()
         assert not hasattr(j, "__dict__")
-        assert "categories" in JournalRecord.__slots__
 
     def test_value_semantics(self):
         a, b = self.record(), self.record(categories=("A", "B"))
@@ -314,14 +312,14 @@ class TestSlottedRecord:
 
     def test_frozen(self):
         j = self.record()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             j.items_t = 5
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             del j.name
 
     def test_copies(self):
         j = self.record()
         for other in (pickle.loads(pickle.dumps(j)), copy.deepcopy(j), copy.copy(j)):
             assert other == j and hash(other) == hash(j)
-        r = dataclasses.replace(j, categories=["C"], refs_total=None)
+        r = j._replace(categories=["C"], refs_total=None)
         assert r.categories == ("C",) and r.refs_total is None and r.id == "j1"

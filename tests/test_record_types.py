@@ -1,10 +1,12 @@
-"""The result records are named tuples that read, print, copy and pickle as
+"""The record types are named tuples that read, print, copy and pickle as
 the frozen dataclasses they replaced did.
 
 Each record type keeps its field order, its defaults and the repr text of
 the dataclass; setting an attribute raises ``AttributeError``; a pickle or
-copy round trip gives an equal value with an equal hash.  Only
-``JournalRecord`` and ``ComponentVector`` are still dataclasses.
+copy round trip gives an equal value with an equal hash.  No class in the
+package is a dataclass.  ``JournalRecord`` and ``ComponentVector`` check
+their fields in ``__new__``, and ``_make`` and ``_replace`` check as the
+constructor does.
 """
 import copy
 import dataclasses
@@ -28,6 +30,19 @@ MERGE_REPR = "Merge(left=0, right=1, height=0.5, new_id=2, size=2)"
 # each type: a sample value, its fields in order, its defaults, and the repr
 # its frozen dataclass gave that value; 1x1 arrays, so that == gives one bool
 RECORDS = [
+    (
+        core_model.JournalRecord("j1", "J", ["A", "B"], 1, 2, 3, 4),
+        core_model.FIELDS,
+        dict.fromkeys(("refs_total", "refs_jcr", "refs_jcr_in_window")),
+        "JournalRecord(id='j1', name='J', categories=('A', 'B'), items_t=1, items_t1=2, items_t2=3,"
+        " cited_in_window=4, refs_total=None, refs_jcr=None, refs_jcr_in_window=None)",
+    ),
+    (
+        core_model.ComponentVector(1.0, 2.0, 0.5, 0.25, 3.0),
+        ("a", "r", "p", "w", "b"),
+        {},
+        "ComponentVector(a=1.0, r=2.0, p=0.5, w=0.25, b=3.0)",
+    ),
     (
         core_model.CategoryAggregate("S22"),
         ("code", "a_t", "a_t1", "a_t2", "refs_total", "refs_jcr", "ncited", "nciting",
@@ -141,21 +156,40 @@ def test_record_type_keeps_its_dataclass_behaviour(value, fields, defaults, text
                 hash(value)
 
 
-def test_only_the_two_checked_records_are_dataclasses():
-    # every other dataclass became a named tuple: defining a frozen dataclass
-    # cost about 0.65 ms of `import cnifkit.cli` each, a named tuple 0.09 ms;
-    # these two keep their __post_init__ checks and dataclasses.replace
-    found = set()
+def test_no_class_is_a_dataclass():
+    # defining a frozen dataclass cost about 0.65 ms of `import cnifkit.cli`
+    # each, a named tuple 0.09 ms, and importing `dataclasses` itself 7-13 ms
+    found = []
     for info in pkgutil.iter_modules(cnifkit.__path__):
         if info.name == "__main__":  # importing it runs the CLI
             continue
         module = importlib.import_module(f"cnifkit.{info.name}")
-        found.update(
+        found.extend(
             f"{info.name}.{name}"
             for name, obj in vars(module).items()
-            if isinstance(obj, type)
-            and obj.__module__ == module.__name__
-            and dataclasses.is_dataclass(obj)
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj)
         )
-    assert found == {"core_model.JournalRecord", "core_model.ComponentVector"}
-    assert len(RECORDS) == 15
+    assert found == []
+    assert len(RECORDS) == 17
+
+
+# each checked type: a valid value, a bad field change, and the constructor's message
+CHECKED = [
+    (RECORDS[0][0], {"items_t": -1}, "journal j1: negative count in items_t: -1"),
+    (RECORDS[0][0], {"categories": []}, "journal j1: empty category list"),
+    (RECORDS[1][0], {"w": 1.5}, "component w must lie in [0,1], got 1.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, change, message",
+    CHECKED,
+    ids=[type(v).__name__ + "." + "".join(c) for v, c, _ in CHECKED],
+)
+def test_make_and_replace_check_as_the_constructor_does(value, change, message):
+    cls = type(value)
+    bad = [change.get(name, field) for name, field in zip(cls._fields, value)]
+    for build in (lambda: cls(*bad), lambda: cls._make(bad), lambda: value._replace(**change)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
