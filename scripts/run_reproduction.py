@@ -36,7 +36,7 @@ def run(out_dir: pathlib.Path, fixture: str | None) -> int:
     for name, (key, known) in TABLES.items():
         report = out_dir / f"{name}.csv"
         argv = [name, "--out", str(report)]
-        if fixture:
+        if fixture is not None:
             argv += ["--fixture", fixture]
         code = cli_main(argv)
         failed = code not in (0, 1) or mismatches(report, key) != known

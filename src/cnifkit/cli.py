@@ -7,11 +7,12 @@ computed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import indicators, ingest, ranking, reference, stats
 from .core_model import Edition, clip, validate
@@ -34,21 +35,31 @@ def round_away(x: float, digits: int) -> float:
     return -int(-scaled + 0.5) / scale
 
 
-def _fixture(args) -> list[CategoryFixtureRow]:
-    """The fixture rows of the chosen --edition; all rows for a command without one."""
-    path = args.fixture or reference.bundled_fixture_path()
-    rows = ingest.read_csv(path, ingest.parse_category_fixture_csv)
+@functools.cache
+def _bundled_rows() -> tuple[CategoryFixtureRow, ...]:
+    """The bundled table's rows, parsed once per process."""
+    path = reference.bundled_fixture_path()
+    return tuple(ingest.read_csv(path, ingest.parse_category_fixture_csv))
+
+
+def _fixture(args) -> Sequence[CategoryFixtureRow]:
+    """The fixture rows of the chosen --edition; all rows for a command without one.
+    A --fixture file is read on every call."""
+    if args.fixture is None:
+        rows = _bundled_rows()
+    else:
+        rows = ingest.read_csv(args.fixture, ingest.parse_category_fixture_csv)
     return edition_rows(rows, getattr(args, "edition", "all"))
 
 
-def edition_rows(rows: list[CategoryFixtureRow], edition: str) -> list[CategoryFixtureRow]:
+def edition_rows(rows: Sequence[CategoryFixtureRow], edition: str) -> Sequence[CategoryFixtureRow]:
     if edition == "all":
         return rows
     wanted = Edition(edition)
     return [r for r in rows if r.edition == wanted]
 
 
-def component_columns(rows: list[CategoryFixtureRow]) -> dict[str, list[Optional[float]]]:
+def component_columns(rows: Sequence[CategoryFixtureRow]) -> dict[str, list[Optional[float]]]:
     return {k: list(map(attrgetter(f"printed_{k}"), rows)) for k in COMPONENTS}
 
 
@@ -131,7 +142,7 @@ def _indicator_rows(args) -> Outputs:
 
 def _decompose_rows(args) -> Outputs:
     fmt, rows = _formatter(args.digits), []
-    if args.input:
+    if args.input is not None:
         dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
         for code in dataset.category_codes():
             agg = indicators.category_aggregate(dataset, code)

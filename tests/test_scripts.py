@@ -29,6 +29,11 @@ class TestRunReproduction:
         assert load_script("run_reproduction").run(tmp_path / "out", str(fixture)) == 1
         assert "reproduce-table1: MISMATCH" in capsys.readouterr().out
 
+    def test_empty_fixture_path_fails_every_table(self, tmp_path, capsys):
+        assert load_script("run_reproduction").run(tmp_path, "") == 3
+        assert capsys.readouterr().err == "error: file not found: \n" * 3
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRunCategoryAnalysis:
     @pytest.mark.parametrize("edition", ["science", "social", "all"])
