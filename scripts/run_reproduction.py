@@ -4,8 +4,9 @@
 Writes per-check reports into an output directory and prints one summary
 line per table.  A table fails when its MISMATCH rows differ from the ones
 it is known to have: none for tables 1 and 3, and the cells of
-``reference.TABLE4_DIVERGENT_CELLS`` for table 4.  Exit status is the number
-of failed tables.
+``reference.TABLE4_DIVERGENT_CELLS`` for table 4.  It also fails when its
+command writes no report or exits with a code other than 0 or 1, and its
+line then gives that code.  Exit status is the number of failed tables.
 """
 import argparse
 import csv
@@ -38,14 +39,17 @@ def run(out_dir: pathlib.Path, fixture: str | None) -> int:
         argv = [name, "--out", str(report)]
         if fixture is not None:
             argv += ["--fixture", fixture]
+        report.unlink(missing_ok=True)  # a report of an earlier run must not pass for this one
         code = cli_main(argv)
-        failed = code not in (0, 1) or mismatches(report, key) != known
-        if failed:
-            status = "MISMATCH (see report)"
+        if code not in (0, 1) or not report.exists():
+            print(f"{name}: failed with exit {code}")
+            failures += 1
+        elif mismatches(report, key) != known:
+            print(f"{name}: MISMATCH (see report) -> {report}")
+            failures += 1
         else:
             status = f"ok ({len(known)} known divergences)" if known else "ok"
-        print(f"{name}: {status} -> {report}")
-        failures += failed
+            print(f"{name}: {status} -> {report}")
     return failures
 
 

@@ -204,12 +204,13 @@ def ward_cluster(
     lexicographically smallest pair of cluster tags (a cluster's tag is the
     smallest leaf label it contains), which makes the result independent of
     input order.  Each row's minimum is cached, so a merge searches O(n)
-    values and rescans only the rows whose minimum it removed.
+    values and rescans only the rows whose minimum it removed; two rows alone
+    at the smallest distance are the pair, as a third would hold any other tie.
+    An update that overflows, inf - inf included, counts as inf, so an overflow
+    shows as an infinite merge height and raises, never as a wrong finite one.
     """
     import numpy as np
-    # an overflow leaves inf between two live clusters until they merge, so it
-    # shows as an infinite merge height, never as a wrong finite one
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if len(labels) != len(vectors):
             raise ValueError("labels and vectors must align")
         if len(labels) < 2:
@@ -234,31 +235,40 @@ def ward_cluster(
         np.fill_diagonal(d, np.inf)  # merged-away rows and columns become inf too
         ids = list(range(n))  # row -> cluster id; row i keeps a merge of rows i < j
         tags = list(leaf_labels)
-        sizes = np.ones(n, dtype=np.int64)  # never 0, so no 0 * inf (nan) in a dead row
+        sizes = np.ones(n)  # exact below 2**53; never 0, so no 0 * inf (nan) in a dead row
+        counts = [1] * n  # the same sizes as ints, for the merge records
         best = d.min(axis=1)  # each row's minimum, exact after every merge; inf once dead
         merges = []
         for new in range(n, 2 * n - 1):
             h = best.min()
+            if h != h:  # an update made inf - inf, and every nan reached best
+                d[np.isnan(d)] = np.inf
+                best = d.min(axis=1)
+                h = best.min()
             if h == np.inf:
                 raise ValueError("squared distances between the vectors overflow")
-            # exact ties only, all in the rows whose minimum is h; the tag order makes
-            # the choice permutation invariant (then the older pairs first, as in a
-            # scan in order of cluster id)
-            i, j = min(
-                ((r, c) for r in (best == h).nonzero()[0].tolist()
-                 for c in (d[r] == h).nonzero()[0].tolist() if r < c),
-                key=lambda p: (sorted(tags[r] for r in p), sorted(ids[r] for r in p)),
-            )
+            rows = (best == h).nonzero()[0].tolist()
+            if len(rows) == 2:
+                i, j = rows
+            else:
+                # exact ties only, all in the rows whose minimum is h; the tag order
+                # makes the choice permutation invariant (then the older pairs first,
+                # as in a scan in order of cluster id)
+                i, j = min(
+                    ((r, c) for r in rows for c in (d[r] == h).nonzero()[0].tolist() if r < c),
+                    key=lambda p: (sorted(tags[r] for r in p), sorted(ids[r] for r in p)),
+                )
             # live rows whose minimum sits in column i or j, i and j among them
-            stale = ((best < np.inf) & ((d[i] == best) | (d[j] == best))).nonzero()[0]
-            ni, nj = sizes[i], sizes[j]
+            stale = ((best < np.inf) & (np.minimum(d[i], d[j]) == best)).nonzero()[0]
+            ni, nj = counts[i], counts[j]
             row = ((ni + sizes) * d[i] + (nj + sizes) * d[j] - sizes * h) / (ni + nj + sizes)
             d[i, :] = d[:, i] = row
-            d[j, :] = d[:, j] = d[i, i] = np.inf
+            d[j, :] = d[:, j] = d[i, i] = np.inf  # row[i] is nan when sizes[i] * h overflows
             np.minimum(best, d[i], out=best)  # exact for every row not stale
             best[stale] = d[stale].min(axis=1)  # row j is all inf now
-            merges.append(Merge(min(ids[i], ids[j]), max(ids[i], ids[j]), h, new, int(ni + nj)))
-            ids[i], tags[i], sizes[i] = new, min(tags[i], tags[j]), ni + nj
+            merges.append(Merge(min(ids[i], ids[j]), max(ids[i], ids[j]), h, new, ni + nj))
+            ids[i], tags[i] = new, min(tags[i], tags[j])
+            counts[i] = sizes[i] = ni + nj
         return Dendrogram(leaf_labels, tuple(merges))
 
 
@@ -342,22 +352,21 @@ def histogram_by_sd(sample: Sequence[float]) -> SdHistogram:
     s = _sd(x)
     if s == 0 or not np.isfinite(s):
         raise ValueError("degenerate sample: non-finite or zero standard deviation")
-    m = x.mean()
+    m = x.mean()  # of the unsorted sample: sorting would change numpy's summation order
+    x = np.sort(x)
     edges = [m + j * s for j in (-3, -2, -1, 0, 1, 2, 3)]
-    counts = [int(np.sum(x < edges[0]))]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        counts.append(int(np.sum((x >= lo) & (x < hi))))
-    counts.append(int(np.sum(x >= edges[-1])))
-
-    def coverage(kk: int) -> float:
-        return float(np.mean((x >= m - kk * s) & (x <= m + kk * s)) * 100)
-
+    below = [0, *np.searchsorted(x, edges).tolist(), n]  # values below each edge
+    counts = [hi - lo for lo, hi in zip(below, below[1:])]
+    # the closed band [m - ks, m + ks] runs from edges[3 - k] to edges[3 + k], as
+    # m - ks is exactly m + (-k)s; the share is the float np.mean of its mask gives
+    upto = np.searchsorted(x, edges[4:], side="right").tolist()  # values at or below
+    coverage = [(upto[k - 1] - below[4 - k]) / n * 100 for k in (1, 2, 3)]
     return SdHistogram(
         mean=float(m),
         sd=float(s),
         bin_counts=tuple(counts),
-        coverage_1s=coverage(1),
-        coverage_2s=coverage(2),
-        coverage_3s=coverage(3),
+        coverage_1s=coverage[0],
+        coverage_2s=coverage[1],
+        coverage_3s=coverage[2],
         sample_size=n,
     )

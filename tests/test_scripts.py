@@ -31,8 +31,29 @@ class TestRunReproduction:
 
     def test_empty_fixture_path_fails_every_table(self, tmp_path, capsys):
         assert load_script("run_reproduction").run(tmp_path, "") == 3
-        assert capsys.readouterr().err == "error: file not found: \n" * 3
+        out, err = capsys.readouterr()
+        assert err == "error: file not found: \n" * 3
+        assert out.splitlines() == [f"reproduce-table{t}: failed with exit 2" for t in (1, 3, 4)]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("stale", [False, True], ids=["fresh-dir", "stale-reports"])
+    def test_commands_that_write_no_report_fail(self, tmp_path, capsys, stale):
+        # two rows: table 1 checks them, tables 3 and 4 exit 1 and write nothing
+        lines = Path(bundled_fixture_path()).read_text(encoding="utf-8").splitlines(True)
+        fixture = tmp_path / "two-rows.csv"
+        fixture.write_text("".join(lines[:3]), encoding="utf-8")
+        script = load_script("run_reproduction")
+        if stale:
+            assert script.run(tmp_path / "out", None) == 0
+            capsys.readouterr()
+        assert script.run(tmp_path / "out", str(fixture)) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] == [
+            "reproduce-table3: failed with exit 1",
+            "reproduce-table4: failed with exit 1",
+        ]
+        assert err == "error: need at least 2 complete rows\nerror: need at least 2 observations, got 0\n"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["reproduce-table1.csv"]
 
 
 class TestRunCategoryAnalysis:

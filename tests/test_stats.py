@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from cnifkit.stats import (
     Dendrogram,
     Matrix,
     Merge,
+    SdHistogram,
+    _sd,
     _standardize,
     correlation_matrix,
     cut_dendrogram,
@@ -291,6 +294,66 @@ def dense_matrix_ward(labels, vectors, standardize=True):
     return Dendrogram(leaf_labels, tuple(merges))
 
 
+def row_min_cache_ward(labels, vectors, standardize=True):
+    """The row-minimum-cache Ward that the two-row shortcut of ward_cluster replaced.
+
+    Kept as a differential oracle: every merge searches each row tied at the
+    smallest distance, finds the stale rows by two comparisons and keeps the
+    sizes as integers.  An update that makes inf - inf leaves nan in the row
+    minima, and the next merge fails with "min() arg is an empty sequence".
+    """
+    with np.errstate(over="ignore"):
+        if len(labels) != len(vectors):
+            raise ValueError("labels and vectors must align")
+        if len(labels) < 2:
+            raise ValueError("need at least 2 complete vectors")
+        x = np.array(vectors, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError("vectors must be finite")
+        if standardize:
+            x = _standardize(x)
+        n = len(labels)
+        order = sorted(range(n), key=lambda i: labels[i])
+        x = x[order]
+        leaf_labels = tuple(labels[i] for i in order)
+
+        d = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+        np.fill_diagonal(d, np.inf)
+        ids = list(range(n))
+        tags = list(leaf_labels)
+        sizes = np.ones(n, dtype=np.int64)
+        best = d.min(axis=1)
+        merges = []
+        for new in range(n, 2 * n - 1):
+            h = best.min()
+            if h == np.inf:
+                raise ValueError("squared distances between the vectors overflow")
+            i, j = min(
+                ((r, c) for r in (best == h).nonzero()[0].tolist()
+                 for c in (d[r] == h).nonzero()[0].tolist() if r < c),
+                key=lambda p: (sorted(tags[r] for r in p), sorted(ids[r] for r in p)),
+            )
+            stale = ((best < np.inf) & ((d[i] == best) | (d[j] == best))).nonzero()[0]
+            ni, nj = sizes[i], sizes[j]
+            row = ((ni + sizes) * d[i] + (nj + sizes) * d[j] - sizes * h) / (ni + nj + sizes)
+            d[i, :] = d[:, i] = row
+            d[j, :] = d[:, j] = d[i, i] = np.inf
+            np.minimum(best, d[i], out=best)
+            best[stale] = d[stale].min(axis=1)
+            merges.append(Merge(min(ids[i], ids[j]), max(ids[i], ids[j]), h, new, int(ni + nj)))
+            ids[i], tags[i], sizes[i] = new, min(tags[i], tags[j]), ni + nj
+        return Dendrogram(leaf_labels, tuple(merges))
+
+
+def ward_outcome(ward, labels, points, standardize):
+    """Leaf order and merges with each height as float.hex, or the error message."""
+    try:
+        d = ward(labels, points, standardize)
+    except ValueError as exc:
+        return str(exc)
+    return d.leaf_labels, [(m.left, m.right, float(m.height).hex(), m.new_id, m.size) for m in d.merges]
+
+
 @st.composite
 def grid_points(draw, distinct=True, max_n=14):
     """Integer-grid inputs, where tied merge heights are common."""
@@ -304,6 +367,20 @@ def grid_points(draw, distinct=True, max_n=14):
     else:
         labels = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
     return labels, points
+
+
+@st.composite
+def huge_points(draw):
+    """Points up to about 1e154 apart, where updates overflow and make inf - inf."""
+    n = draw(st.integers(2, 9))
+    dim = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 1e100, 1e153, 2e153, 4.3e153, 6.5e153]))
+    coordinate = st.integers(-2, 2).map(float) | st.floats(-2, 2)
+    points = draw(
+        st.lists(st.lists(coordinate, min_size=dim, max_size=dim), min_size=n, max_size=n)
+    )
+    labels = draw(st.permutations([f"p{i}" for i in range(n)]))
+    return labels, [[v * scale for v in p] for p in points]
 
 
 class TestWard:
@@ -340,6 +417,26 @@ class TestWard:
                 ward_cluster(labels, points, standardize)
             return
         assert ward_cluster(labels, points, standardize) == expected
+
+    @settings(max_examples=100, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
+    @given(st.booleans().flatmap(lambda distinct: grid_points(distinct, max_n=120)), st.booleans())
+    def test_bit_identical_to_row_min_cache(self, case, standardize):
+        # tied rows at most merges: the two-row shortcut and the full search both run
+        labels, points = case
+        expected = ward_outcome(row_min_cache_ward, labels, points, standardize)
+        assert ward_outcome(ward_cluster, labels, points, standardize) == expected
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(huge_points(), st.booleans())
+    def test_overflow_bit_identical_to_row_min_cache(self, case, standardize):
+        labels, points = case
+        with np.errstate(invalid="ignore"):  # the oracle's inf - inf
+            expected = ward_outcome(row_min_cache_ward, labels, points, standardize)
+        if expected == "min() arg is an empty sequence":
+            # the inf - inf the oracle fails on counts as an overflow
+            expected = "squared distances between the vectors overflow"
+        assert ward_outcome(ward_cluster, labels, points, standardize) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -381,12 +478,18 @@ class TestWard:
     @pytest.mark.filterwarnings("error")  # an overflow warning fails the test
     @pytest.mark.parametrize(
         "vectors",
-        [[[1e200], [1e200], [-1e200], [0]], [[6e153], [-6e153], [0], [1]]],
-        ids=["squared-distance", "lance-williams-update"],
+        [
+            [[1e200], [1e200], [-1e200], [0]],
+            [[6e153], [-6e153], [0], [1]],
+            # clusters of 2 and 3 meet h > DBL_MAX / 2: their updates make inf - inf
+            [[-6.5e153], [0], [-6.5e153], [-6.5e153], [1.3e154], [1.3e154], [-1.3e154]],
+        ],
+        ids=["squared-distance", "lance-williams-update", "inf-minus-inf"],
     )
     def test_overflowing_distances_rejected(self, vectors):
+        labels = [f"p{i}" for i in range(len(vectors))]
         with pytest.raises(ValueError, match="^squared distances between the vectors overflow$"):
-            ward_cluster(list("abcd"), vectors, standardize=False)
+            ward_cluster(labels, vectors, standardize=False)
 
     @pytest.mark.filterwarnings("error")
     def test_large_finite_distances_cluster(self):
@@ -558,7 +661,75 @@ class TestKs:
             ks_normality([1.0, 2.0, 3.0])
 
 
+def mask_histogram_by_sd(sample):
+    """The mask-counting histogram_by_sd that the sorted searches replaced; a differential oracle."""
+    x = np.asarray(sample, dtype=float)
+    n = len(x)
+    if n < 2:
+        raise ValueError(f"need at least 2 observations, got {n}")
+    s = _sd(x)
+    if s == 0 or not np.isfinite(s):
+        raise ValueError("degenerate sample: non-finite or zero standard deviation")
+    m = x.mean()
+    edges = [m + j * s for j in (-3, -2, -1, 0, 1, 2, 3)]
+    counts = [int(np.sum(x < edges[0]))]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        counts.append(int(np.sum((x >= lo) & (x < hi))))
+    counts.append(int(np.sum(x >= edges[-1])))
+
+    def coverage(kk):
+        return float(np.mean((x >= m - kk * s) & (x <= m + kk * s)) * 100)
+
+    return SdHistogram(float(m), float(s), tuple(counts), coverage(1), coverage(2), coverage(3), n)
+
+
+@st.composite
+def on_edge_samples(draw):
+    """Integer samples with an exact mean c and sd a, and values on the band edges.
+
+    Nonzero values v and -v with squares summing to Q, plus zeros up to
+    n = Q + 1, have mean 0 and sd 1 exactly; c + a * v moves every value
+    onto the edge c + v * a.
+    """
+    half = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    values = half + [-v for v in half]
+    values += [0] * (sum(v * v for v in values) + 1 - len(values))
+    c, a = draw(st.integers(-50, 50)), draw(st.integers(1, 20))
+    return draw(st.permutations([c + a * v for v in values]))
+
+
+# from 1e-300 to 1e300 in magnitude, both signs
+wide_floats = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0**exponent,
+    st.floats(-9.99, 9.99),
+    st.integers(-300, 299),
+)
+
+
 class TestHistogram:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        on_edge_samples()
+        | st.lists(st.integers(-3, 3), min_size=2, max_size=60)
+        | st.lists(wide_floats, min_size=2, max_size=3)
+        | st.lists(wide_floats, min_size=2, max_size=40)
+    )
+    def test_identical_to_mask_counts(self, sample):
+        try:
+            expected = repr(mask_histogram_by_sd(sample))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                histogram_by_sd(sample)
+            return
+        assert repr(histogram_by_sd(sample)) == expected
+
+    def test_on_edge_sample_is_exact(self):
+        # -3 .. 3 and 23 zeros: mean 0 and sd 1, a value on every edge but 0's
+        h = histogram_by_sd([-3, -2, -1, 1, 2, 3] + [0] * 23)
+        assert (h.mean, h.sd) == (0.0, 1.0)
+        assert h.bin_counts == (0, 1, 1, 1, 23, 1, 1, 1)
+        assert (h.coverage_1s, h.coverage_2s, h.coverage_3s) == (25 / 29 * 100, 27 / 29 * 100, 100.0)
+
     def test_symmetric_two_point_sample(self):
         h = histogram_by_sd([-1.0, 1.0])
         assert sum(h.bin_counts) == 2
