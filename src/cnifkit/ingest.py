@@ -50,7 +50,8 @@ class CategoryFixtureRow(_FixtureFields):
     values and are ``None`` where the table shows "-".  They are kept for
     golden comparisons only and never fed back into arithmetic.  The
     constructor checks that counts are non-negative and below ``COUNT_LIMIT``
-    and that p and w lie in [0,1]; ``_make`` and ``_replace`` check nothing.
+    and that p and w lie in [0,1]; ``_make`` and ``_replace`` check as the
+    constructor does.
     """
 
     __slots__ = ()
@@ -68,6 +69,10 @@ class CategoryFixtureRow(_FixtureFields):
             if v is not None and not (0.0 <= v <= 1.0):
                 raise ValueError(f"{self.code}: {name} outside [0,1]")
         return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def is_complete(self) -> bool:
         return None not in self[7:12]  # printed a, r, p, w and b
@@ -213,40 +218,22 @@ def parse_category_fixture_csv(stream: IO[str]) -> list[CategoryFixtureRow]:
     """Parse the category-level fixture schema; "-" marks absent printed values."""
     out = []
     seen: set[str] = set()
-    make = CategoryFixtureRow._make  # the checks below are the constructor's
     for line, row in _records(stream, FIXTURE_HEADER):
         if len(row) != len(FIXTURE_HEADER):
             raise ParseError(line, f"expected {len(FIXTURE_HEADER)} fields, got {len(row)}")
-        code, name, edition, rj, rt, ncited, nciting, *printed = row
+        code, name, edition = row[:3]
         if code in seen:
             raise ParseError(line, f"duplicate category code: {code}")
         seen.add(code)
         edition = _EDITIONS.get(edition)
         if edition is None:
             raise ParseError(line, f"unknown edition: {row[2]!r}")
+        counts = [_parse_count(row[i], FIXTURE_HEADER[i], line) for i in range(3, 7)]
+        printed = [_parse_printed(row[i], FIXTURE_HEADER[i], line) for i in range(7, 13)]
         try:
-            rj, rt, ncited, nciting = int(rj), int(rt), int(ncited), int(nciting)
-            # an or of ints is negative if one is, else as long as the longest
-            valid = 0 <= (rj | rt | ncited | nciting) < COUNT_LIMIT
-        except ValueError:
-            valid = False
-        if not valid:  # raise the first bad column's message
-            for i in range(3, 7):
-                _parse_count(row[i], FIXTURE_HEADER[i], line)
-        try:
-            printed = [None if v == "-" else float(v) for v in printed]
-            # None and 0.0 drop out; a nan or an infinity makes the sum non-finite
-            valid = math.isfinite(sum(filter(None, printed)))
-        except ValueError:
-            valid = False
-        if not valid:  # raise the first bad column's message, or the sum overflowed
-            printed = [_parse_printed(row[i], FIXTURE_HEADER[i], line) for i in range(7, 13)]
-        p, w = printed[2], printed[3]
-        if p is not None and not (0.0 <= p <= 1.0):
-            raise ParseError(line, f"{code}: printed_p outside [0,1]")
-        if w is not None and not (0.0 <= w <= 1.0):
-            raise ParseError(line, f"{code}: printed_w outside [0,1]")
-        out.append(make((code, name, edition, rj, rt, ncited, nciting, *printed)))
+            out.append(CategoryFixtureRow(code, name, edition, *counts, *printed))
+        except ValueError as exc:
+            raise ParseError(line, str(exc)) from None
     return out
 
 

@@ -17,6 +17,9 @@ if TYPE_CHECKING:
 
 
 class Matrix(NamedTuple):
+    """A labelled square matrix.  Past 1x1, ``==`` raises numpy's "truth value of an
+    array ... is ambiguous" ValueError: compare ``values`` with ``numpy.array_equal``."""
+
     labels: tuple[str, ...]
     values: np.ndarray  # square, aligned with labels on both axes
 
@@ -26,12 +29,18 @@ class Matrix(NamedTuple):
 
 
 class EigenResult(NamedTuple):
+    """A symmetric matrix's eigenpairs.  ``==`` raises as ``Matrix``'s does:
+    compare each array field with ``numpy.array_equal``."""
+
     eigenvalues: np.ndarray  # descending
     eigenvectors: np.ndarray  # columns, orthonormal, aligned with eigenvalues
     variance_shares: np.ndarray
 
 
 class PcaResult(NamedTuple):
+    """Principal components.  ``==`` raises as ``Matrix``'s does: compare
+    ``eigen``'s arrays with ``numpy.array_equal``, the other fields with ``==``."""
+
     labels: tuple[str, ...]
     eigen: EigenResult
     attributed_shares: dict[str, float]

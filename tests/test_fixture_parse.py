@@ -1,11 +1,11 @@
-"""The category fixture parser against the parser it replaced.
+"""The category fixture parser against a reference written apart from it.
 
-``oracle_parse_category_fixture_csv`` is the earlier parser, kept as the
-reference: it converts every cell through ``_parse_count`` and
-``_parse_printed`` and builds each row through the checking
-``CategoryFixtureRow`` constructor, turning its ValueError into a ParseError
-at the row's line.  On any input the current parser must give the same rows
-field for field, or the same ParseError line and message.
+``oracle_parse_category_fixture_csv`` is the reference: it converts every
+cell through ``_parse_count`` and ``_parse_printed`` and builds each row
+through the checking ``CategoryFixtureRow`` constructor, turning its
+ValueError into a ParseError at the row's line.  On any input the parser
+must give the same rows field for field, or the same ParseError line and
+message.
 """
 import csv
 import io

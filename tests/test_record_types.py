@@ -4,9 +4,9 @@ the frozen dataclasses they replaced did.
 Each record type keeps its field order, its defaults and the repr text of
 the dataclass; setting an attribute raises ``AttributeError``; a pickle or
 copy round trip gives an equal value with an equal hash.  No class in the
-package is a dataclass.  ``JournalRecord`` and ``ComponentVector`` check
-their fields in ``__new__``, and ``_make`` and ``_replace`` check as the
-constructor does.
+package is a dataclass.  ``JournalRecord``, ``ComponentVector`` and
+``CategoryFixtureRow`` check their fields in ``__new__``, and ``_make`` and
+``_replace`` check as the constructor does.
 """
 import copy
 import dataclasses
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import cnifkit
-from cnifkit import cli, core_model, indicators, ranking, stats
+from cnifkit import cli, core_model, indicators, ingest, ranking, stats
 
 EIGEN = stats.EigenResult(np.array([1.0]), np.eye(1), np.array([1.0]))
 EIGEN_REPR = (
@@ -178,6 +178,11 @@ CHECKED = [
     (RECORDS[0][0], {"items_t": -1}, "journal j1: negative count in items_t: -1"),
     (RECORDS[0][0], {"categories": []}, "journal j1: empty category list"),
     (RECORDS[1][0], {"w": 1.5}, "component w must lie in [0,1], got 1.5"),
+    (
+        ingest.CategoryFixtureRow("S1", "Soc", core_model.Edition.SOCIAL_SCIENCE, 1, 2, 3, 4),
+        {"printed_p": 1.5},
+        "S1: printed_p outside [0,1]",
+    ),
 ]
 
 
