@@ -80,7 +80,7 @@ class CategoryFixtureRow(_FixtureFields):
 
 def _records(stream: IO[str], header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Check the header row, then yield each record with its first physical
-    line; malformed CSV raises ParseError at the record's line."""
+    line; a wrong field count or malformed CSV raises ParseError at that line."""
     reader = csv.reader(stream)
     end = 0  # last physical line read
     try:
@@ -90,7 +90,10 @@ def _records(stream: IO[str], header: list[str]) -> Iterator[tuple[int, list[str
         if first != header:
             raise ParseError(1, f"bad header: expected {header}, got {first}")
         end = reader.line_num
+        width = len(header)
         for row in reader:
+            if len(row) != width:
+                raise ParseError(end + 1, f"expected {width} fields, got {len(row)}")
             yield end + 1, row
             end = reader.line_num
     except csv.Error as exc:
@@ -117,18 +120,6 @@ def parse_journals_csv(stream: IO[str], strict: bool = True) -> Dataset:
     rules; the first record breaking one is raised after the last row, so
     structural errors anywhere come first.
     """
-    values, members = _journal_values(stream, strict)
-    # Split into columns after the pass has freed its id set, so memory peaks
-    # lower.  One flat list, not a tuple per row: the tuple free list would
-    # keep 2,000 freed row tuples for the life of the process.
-    n = len(FIELDS)
-    columns = {name: tuple(values[k::n]) for k, name in enumerate(FIELDS)}
-    return Dataset._from_columns(columns, members)
-
-
-def _journal_values(stream: IO[str], strict: bool) -> tuple[list, dict[str, list[int]]]:
-    """The fields of each checked row of a journal CSV, row after row in one
-    list, and each code's member rows."""
     values: list = []
     members: defaultdict[str, list[int]] = defaultdict(list)
     seen: set[str] = set()
@@ -136,8 +127,6 @@ def _journal_values(stream: IO[str], strict: bool) -> tuple[list, dict[str, list
     category_sets: dict[str, tuple[str, ...]] = {}
     violation = None
     for row_index, (line, row) in enumerate(_records(stream, JOURNAL_HEADER)):
-        if len(row) != len(JOURNAL_HEADER):
-            raise ParseError(line, f"expected {len(JOURNAL_HEADER)} fields, got {len(row)}")
         jid, name, cats, t, t1, t2, cited, rt, rj, rjw = row
         if not jid:
             raise ParseError(line, "empty journal id")
@@ -177,7 +166,14 @@ def _journal_values(stream: IO[str], strict: bool) -> tuple[list, dict[str, list
             members[code].append(row_index)
     if violation is not None:
         raise violation
-    return values, dict(members)
+    # Split into columns after freeing the id set and the memo, so memory
+    # peaks lower.  One flat list, not a tuple per row: the tuple free list
+    # would keep 2,000 freed row tuples for the life of the process.
+    members = dict(members)
+    del seen, category_sets
+    n = len(FIELDS)
+    columns = {name: tuple(values[k::n]) for k, name in enumerate(FIELDS)}
+    return Dataset._from_columns(columns, members)
 
 
 def read_csv(path: str, parse: Callable[..., T], **kwargs) -> T:
@@ -219,8 +215,6 @@ def parse_category_fixture_csv(stream: IO[str]) -> list[CategoryFixtureRow]:
     out = []
     seen: set[str] = set()
     for line, row in _records(stream, FIXTURE_HEADER):
-        if len(row) != len(FIXTURE_HEADER):
-            raise ParseError(line, f"expected {len(FIXTURE_HEADER)} fields, got {len(row)}")
         code, name, edition = row[:3]
         if code in seen:
             raise ParseError(line, f"duplicate category code: {code}")
@@ -254,15 +248,11 @@ def emit_report(columns: Sequence[str], rows: Sequence[tuple], fmt: str, stream:
 
     CSV is the header line, then one line per row; ``None`` is an empty cell.
     JSON is exactly ``json.dump([dict(zip(columns, row)) for row in rows],
-    stream, indent=2)`` and a newline, written one row at a time.
+    stream, indent=2)`` and a newline.
     """
     if fmt == "json":
-        sep = "[\n  "
-        for row in rows:
-            # json.dumps escapes newlines inside strings, so each one here starts a line
-            stream.write(sep + json.dumps(dict(zip(columns, row)), indent=2).replace("\n", "\n  "))
-            sep = ",\n  "
-        stream.write("\n]\n" if rows else "[]\n")
+        json.dump([dict(zip(columns, row)) for row in rows], stream, indent=2)
+        stream.write("\n")
     elif fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)

@@ -21,7 +21,9 @@ from cnifkit.indicators import (
     cnif,
     cnif_terms,
     impact_factor,
+    row_counts,
 )
+from cnifkit.ingest import parse_journals_csv, read_csv
 
 from conftest import make_dataset, make_journal, oracle_jcr_aggregate, oracle_union_aggregate
 
@@ -196,6 +198,14 @@ GUARD_ROWS = BASE_ROWS + [
     "j8,Theta,A,2,3,4,5,,,",
 ]
 
+# one journal in 40 codes, C0-C39, among 48 journals in one to three of them:
+# the limits case for any bound on the number of codes per journal
+WIDE_ROWS = ["w,Wide," + ";".join(f"C{k}" for k in range(40)) + ",5,6,7,40,300,250,50"] + [
+    f"j{i},J{i}," + ";".join(f"C{(i + shift) % 40}" for shift in (0, 11, 23)[: i % 3 + 1])
+    + f",3,{i % 5 + 1},{i % 4 + 2},{i * 3 % 17},,,"
+    for i in range(1, 49)
+]
+
 CNIF_COMMANDS = (["cnif"], ["rank", "--scorer", "cnif"], ["gap"])
 
 
@@ -205,8 +215,12 @@ def write_csv(tmp_path, rows):
     return str(path)
 
 
-@pytest.mark.parametrize("command", CNIF_COMMANDS, ids=lambda c: " ".join(c))
-def test_one_table_build_and_one_cnif_per_journal(command, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "command, rows",
+    [pytest.param(c, GUARD_ROWS, id=" ".join(c)) for c in CNIF_COMMANDS]
+    + [pytest.param(c, WIDE_ROWS, id=" ".join(c) + " wide") for c in CNIF_COMMANDS],
+)
+def test_one_table_build_and_one_cnif_per_journal(command, rows, tmp_path, monkeypatch):
     calls = Counter()
     scored = Counter()
 
@@ -230,10 +244,18 @@ def test_one_table_build_and_one_cnif_per_journal(command, tmp_path, monkeypatch
     # kernel reads is counted
     monkeypatch.setattr(indicators, "cnif_terms", counting_kernel)
     monkeypatch.setattr(ranking, "cnif_terms", counting_kernel)
-    path = write_csv(tmp_path, GUARD_ROWS)
+    path = write_csv(tmp_path, rows)
     assert main(command + ["--input", path, "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == Counter({"_category_table": 1})
-    assert scored == Counter(f"j{i}" for i in range(1, 9))
+    assert scored == Counter(row.split(",")[0] for row in rows)
+
+
+def test_journal_in_forty_codes_matches_oracles(tmp_path):
+    ds = read_csv(write_csv(tmp_path, WIDE_ROWS), parse_journals_csv)
+    wide = ds.journals[0]
+    assert len(wide.categories) == 40
+    terms = next(cnif_terms(ds, row_counts(ds, [0])))
+    assert terms == tuple(cnif(wide, ds))[1:] == uncached_score(ds, wide)
 
 
 ZERO_WINDOW = "journal j5: no citable items in target window, IF undefined"

@@ -1,4 +1,5 @@
-"""The streaming report writer against the whole-list writer it replaced."""
+"""The report writer against its documented form: every row a dict, the
+whole list through ``json.dump``; ``csv.writer`` for CSV."""
 import csv
 import io
 import json
