@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import indicators, ingest, ranking, reference, stats
-from .core_model import Edition, clip, validate
+from .core_model import Dataset, Edition, Violation, clip, validate
 from .ingest import CategoryFixtureRow
 
 USAGE_ERROR = 2
@@ -40,6 +40,49 @@ def _bundled_rows() -> tuple[CategoryFixtureRow, ...]:
     """The bundled table's rows, parsed once per process."""
     path = reference.bundled_fixture_path()
     return tuple(ingest.read_csv(path, ingest.parse_category_fixture_csv))
+
+
+# the last journal CSV parsed, keyed by the digest of its bytes
+_parsed: dict[bytes, Dataset] = {}
+_keep_parsed = True  # False in the console script
+
+
+def _report(dataset: Dataset) -> list[Violation]:
+    """``validate(dataset)``, kept on the dataset."""
+    report = dataset._cache.get("validate")
+    if report is None:
+        report = dataset._cache["validate"] = validate(dataset)
+    return report
+
+
+def _journals(args, strict: bool = True) -> Dataset:
+    """The dataset of the journal CSV at --input.  In-process callers of
+    ``main`` parse a file once while its bytes stay the same: the first parse
+    digests the bytes as it reads them, later calls digest the file first.
+    The console script and a pipe parse on every call.  Errors are not kept;
+    a strict caller gets the parser's error for a cross-field break."""
+    if not (_keep_parsed and os.path.isfile(args.input)):  # a pipe's bytes can be read only once
+        _parsed.clear()
+        return ingest.read_csv(args.input, ingest.parse_journals_csv, strict=strict)
+    try:  # hashlib's blake2b, without the OpenSSL that hashlib loads
+        from _blake2 import blake2b as hasher
+    except ImportError:  # a CPython built without its own blake2, which hashlib's needs
+        from hashlib import sha256 as hasher
+    if _parsed:
+        digest = hasher()
+        with open(args.input, "rb") as f:
+            for chunk in iter(functools.partial(f.read, 1 << 16), b""):
+                digest.update(chunk)
+        dataset = _parsed.get(digest.digest())
+        if dataset is not None and not (strict and _report(dataset)):
+            return dataset
+    _parsed.clear()  # the old dataset goes before the new one is built
+    digest = hasher()  # of the bytes parsed, should the file change meanwhile
+    dataset = ingest.read_csv(args.input, ingest.parse_journals_csv, digest, strict=strict)
+    if strict:  # the strict parse checked validate's rules
+        dataset._cache["validate"] = []
+    _parsed[digest.digest()] = dataset
+    return dataset
 
 
 def _fixture(args) -> Sequence[CategoryFixtureRow]:
@@ -116,13 +159,13 @@ def _cells(obj, names, fmt: Callable[[Optional[float]], str]) -> tuple[str, ...]
 
 
 def _validate_rows(args) -> Outputs:
-    report = validate(ingest.read_csv(args.input, ingest.parse_journals_csv, strict=False))
+    report = _report(_journals(args, strict=False))
     rows = [(v.record_id, v.rule) for v in report]
     return (DATA_ERROR if report else 0), {"": (("record_id", "rule"), rows)}
 
 
 def _indicator_rows(args) -> Outputs:
-    dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
+    dataset = _journals(args)
     fmt, rows = _formatter(args.digits), []
     for code in dataset.category_codes():
         agg = indicators.category_aggregate(dataset, code)
@@ -143,7 +186,7 @@ def _indicator_rows(args) -> Outputs:
 def _decompose_rows(args) -> Outputs:
     fmt, rows = _formatter(args.digits), []
     if args.input is not None:
-        dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
+        dataset = _journals(args)
         for code in dataset.category_codes():
             agg = indicators.category_aggregate(dataset, code)
             cv = indicators.components(agg)
@@ -157,11 +200,10 @@ def _decompose_rows(args) -> Outputs:
 
 
 def _cnif_rows(args) -> Outputs:
-    dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
+    dataset = _journals(args)
     ids, fmt, rows = dataset.columns["id"], _formatter(args.digits), []
     order = sorted(range(len(ids)), key=ids.__getitem__)
-    by_id = indicators.cnif_terms(dataset, indicators.row_counts(dataset, order))  # streamed
-    for i, terms in zip(order, by_id):
+    for i, terms in ranking.cnif_scored(dataset, order):  # streamed
         if isinstance(terms, ValueError):  # UndefinedIndicatorError: the first in id order aborts
             raise terms
         rows.append((ids[i], *map(fmt, terms)))
@@ -169,7 +211,7 @@ def _cnif_rows(args) -> Outputs:
 
 
 def _rank_rows(args) -> Outputs:
-    dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
+    dataset = _journals(args)
     column, ids = ranking.score_column(dataset, args.scorer), dataset.columns["id"]
     # score_desc names the scorer: a higher score is a better (lower) percentile
     columns = ("category", "journal_id", "score_desc", "score", "rank", "percentile")
@@ -183,7 +225,7 @@ def _rank_rows(args) -> Outputs:
 
 
 def _gap_rows(args) -> Outputs:
-    dataset = ingest.read_csv(args.input, ingest.parse_journals_csv)
+    dataset = _journals(args)
     summary, reports = ranking.compare_gaps(dataset)
     # compare_gaps ranked every row, so both columns hold only floats
     by_if, by_cnif = ranking.score_column(dataset, "if"), ranking.score_column(dataset, "cnif")
@@ -459,6 +501,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entrypoint() -> None:
+    global _keep_parsed
+    _keep_parsed = False  # one command per process: no later command to share a parse with
     raise SystemExit(main())
 
 

@@ -48,11 +48,12 @@ class JournalRecord(_JournalFields):
     year t to the t-1/t-2 volumes.  The three reference fields are optional:
     absent means unknown, never zero.  ``categories`` is stored as a tuple.
     An empty id, an empty category list, an empty code or one holding ";"
-    (the CSV's code separator), a repeated code, a lone surrogate (which
-    UTF-8 cannot encode) in the id, name or a code, or a count that is
-    negative or ``COUNT_LIMIT`` or more raises ``ValueError``: the parser can
-    produce none of them.  ``_make`` and ``_replace`` check as the
-    constructor does.
+    (the CSV's code separator), a carriage return in the id or a code (which
+    ``csv.writer`` leaves unquoted before Python 3.13), a repeated code, a
+    lone surrogate (which UTF-8 cannot encode) in the id, name or a code, or
+    a count that is negative or ``COUNT_LIMIT`` or more raises
+    ``ValueError``: the parser can produce none of them.  ``_make`` and
+    ``_replace`` check as the constructor does.
     """
 
     __slots__ = ()
@@ -62,6 +63,8 @@ class JournalRecord(_JournalFields):
         jid = self.id
         if not jid:
             raise ValueError("empty journal id")
+        if "\r" in jid:
+            raise ValueError(f"carriage return in journal id {jid!r}")
         categories = tuple(self.categories)
         if not categories:
             raise ValueError(f"journal {jid}: empty category list")
@@ -70,6 +73,8 @@ class JournalRecord(_JournalFields):
                 raise ValueError(f"journal {jid}: empty category code")
             if ";" in code:
                 raise ValueError(f"journal {jid}: ';' in category code {code!r}")
+            if "\r" in code:
+                raise ValueError(f"journal {jid}: carriage return in category code {code!r}")
         if len(categories) > 1 and len(set(categories)) != len(categories):
             raise ValueError(f"journal {jid}: duplicate category codes")
         try:  # str.encode refuses only a lone surrogate
@@ -168,9 +173,12 @@ class Dataset:
     must not change them.  Journal ids are unique: construction raises
     ``ValueError`` on a repeat.  ``_cache`` holds values derived from the
     columns on first use: the records here, the category table in
-    ``indicators`` and the score columns in ``ranking``.  It is left out of
+    ``indicators``, the score columns in ``ranking`` and the ``validate``
+    report in ``cli``.  It is left out of
     equality and repr, and stays valid only because nothing changes the
-    columns after construction.
+    columns after construction.  So one dataset may serve several commands
+    in a process: the CLI parses a journal CSV once while its bytes stay the
+    same, and each later command reuses the values cached here.
     """
 
     __slots__ = ("columns", "_members", "_cache")

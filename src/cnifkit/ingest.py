@@ -49,15 +49,17 @@ class CategoryFixtureRow(_FixtureFields):
     Raw counts are exact integers; ``printed_*`` carry the table's rounded
     values and are ``None`` where the table shows "-".  They are kept for
     golden comparisons only and never fed back into arithmetic.  The
-    constructor checks that counts are non-negative and below ``COUNT_LIMIT``
-    and that p and w lie in [0,1]; ``_make`` and ``_replace`` check as the
-    constructor does.
+    constructor checks that the code holds no carriage return, that counts
+    are non-negative and below ``COUNT_LIMIT`` and that p and w lie in
+    [0,1]; ``_make`` and ``_replace`` check as the constructor does.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if "\r" in self.code:  # csv.writer leaves a lone one unquoted before Python 3.13
+            raise ValueError(f"carriage return in category code {self.code!r}")
         for name in ("refs_jcr", "refs_total", "ncited", "nciting"):
             count = getattr(self, name)
             if count < 0:
@@ -130,11 +132,15 @@ def parse_journals_csv(stream: IO[str], strict: bool = True) -> Dataset:
         jid, name, cats, t, t1, t2, cited, rt, rj, rjw = row
         if not jid:
             raise ParseError(line, "empty journal id")
+        if "\r" in jid:  # csv.writer leaves a lone one unquoted before Python 3.13
+            raise ParseError(line, f"carriage return in journal id {jid!r}")
         if jid in seen:
             raise ParseError(line, f"duplicate journal id: {jid}")
         seen.add(jid)
         codes = category_sets.get(cats)
         if codes is None:
+            if "\r" in cats:
+                raise ParseError(line, f"journal {jid}: carriage return in category codes")
             codes = cats.split(";")
             if "" in codes:
                 codes = [c for c in codes if c]
@@ -176,15 +182,30 @@ def parse_journals_csv(stream: IO[str], strict: bool = True) -> Dataset:
     return Dataset._from_columns(columns, members)
 
 
-def read_csv(path: str, parse: Callable[..., T], **kwargs) -> T:
-    """Parse the CSV file at ``path`` with ``parse(stream, **kwargs)``.
+class _DigestedFile(io.FileIO):
+    """A file that feeds each byte it reads to a digest."""
+
+    def __init__(self, path: str, digest):
+        super().__init__(path)
+        self.digest = digest
+
+    def readinto(self, buffer) -> int:  # every line a TextIOWrapper reads comes through here
+        n = super().readinto(buffer)
+        self.digest.update(buffer[:n])
+        return n
+
+
+def read_csv(path: str, parse: Callable[..., T], digest=None, **kwargs) -> T:
+    """Parse the CSV file at ``path`` with ``parse(stream, **kwargs)``; a
+    ``digest`` is updated with each byte the parse reads.
 
     The file is read as UTF-8; utf-8-sig drops the byte-order mark that Excel
     writes before the header.  A byte that is not UTF-8 is a ParseError at
     the physical line that holds it.
     """
+    raw = io.FileIO(path) if digest is None else _DigestedFile(path, digest)
     try:
-        with open(path, encoding="utf-8-sig", newline="") as f:
+        with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="") as f:
             return parse(f, **kwargs)
     except UnicodeDecodeError:
         with open(path, "rb") as f:  # the decoder's offset is within its chunk
@@ -235,8 +256,9 @@ def emit_journals_csv(dataset: Dataset, stream: IO[str]) -> None:
     c = dataset.columns  # csv.writer writes an absent reference count, None, as ""
     codes = list(map(";".join, c["categories"]))
     # the writer quotes a field holding "\n" but not one holding a lone "\r",
-    # which the reader takes for a line end; then every field is quoted
-    split = any("\r" in text for column in (c["id"], c["name"], codes) for text in column)
+    # which the reader takes for a line end; then every field is quoted (ids
+    # and codes hold no "\r": JournalRecord and the parser refuse it)
+    split = any("\r" in name for name in c["name"])
     quoting = csv.QUOTE_ALL if split else csv.QUOTE_MINIMAL
     writer = csv.writer(stream, lineterminator="\n", quoting=quoting)
     writer.writerow(JOURNAL_HEADER)

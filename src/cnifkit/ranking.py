@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from operator import neg
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core_model import Dataset, UndefinedIndicatorError
 # the benchmark tracer in perfbench/ patches ``ranking.cnif``, so the name stays bound
@@ -47,19 +47,31 @@ def score_column(dataset: Dataset, name: str) -> list:
     key = f"{name} scores"
     column = dataset._cache.get(key)
     if column is None:
-        counts = row_counts(dataset, range(len(dataset.columns["id"])))
-        if name == "cnif":  # one pass of the CNIF kernel over every row
-            terms = cnif_terms(dataset, counts)
-            column = [str(t) if isinstance(t, UndefinedIndicatorError) else t[-1] for t in terms]
-        else:
-            column = []
-            for journal_id, _, cited, items in counts:
-                try:
-                    column.append(_impact_factor(journal_id, cited, items))
-                except UndefinedIndicatorError as exc:
-                    column.append(str(exc))
+        rows = range(len(dataset.columns["id"]))
+        if name == "cnif":
+            for _ in cnif_scored(dataset, rows):  # the pass keeps the column
+                pass
+            return dataset._cache[key]
+        column = []
+        for journal_id, _, cited, items in row_counts(dataset, rows):
+            try:
+                column.append(_impact_factor(journal_id, cited, items))
+            except UndefinedIndicatorError as exc:
+                column.append(str(exc))
         dataset._cache[key] = column  # only once every row has its score
     return column
+
+
+def cnif_scored(dataset: Dataset, order: Sequence[int]) -> Iterator[tuple[int, object]]:
+    """``(row, terms)`` of every row in ``order``, a permutation of the rows,
+    with ``terms`` as ``cnif_terms`` yields them.  A pass run to its end keeps
+    each row's score as ``score_column(dataset, "cnif")``, so the CNIF kernel
+    reads each journal once per dataset."""
+    column = [None] * len(order)
+    for row, terms in zip(order, cnif_terms(dataset, row_counts(dataset, order))):
+        column[row] = str(terms) if isinstance(terms, UndefinedIndicatorError) else terms[-1]
+        yield row, terms
+    dataset._cache["cnif scores"] = column
 
 
 def _ranked(column: list, ids: tuple, rows: list[int]) -> Iterator[tuple[int, int, float]]:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cnifkit import cli
 from cnifkit.core_model import (
     CategoryAggregate,
     Dataset,
@@ -152,6 +153,13 @@ def oracle_compare_gaps(dataset):
         fraction_reduced=sum(1 for r in reports if r.gap_cnif < r.gap_if) / len(reports),
     )
     return summary, reports
+
+
+@pytest.fixture(autouse=True)
+def fresh_journal_parse():
+    """Each test starts with no journal CSV parsed: the CLI keeps the last one
+    per process, and tests that count the work of one command expect a cold start."""
+    cli._parsed.clear()
 
 
 @pytest.fixture(scope="session")
