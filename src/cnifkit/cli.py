@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import indicators, ingest, ranking, reference, stats
-from .core_model import Dataset, Edition, Violation, clip, validate
+from .core_model import Dataset, Edition, clip, validate
 from .ingest import CategoryFixtureRow
 
 USAGE_ERROR = 2
@@ -44,44 +44,33 @@ def _bundled_rows() -> tuple[CategoryFixtureRow, ...]:
 
 # the last journal CSV parsed, keyed by the digest of its bytes
 _parsed: dict[bytes, Dataset] = {}
-_keep_parsed = True  # False in the console script
-
-
-def _report(dataset: Dataset) -> list[Violation]:
-    """``validate(dataset)``, kept on the dataset."""
-    report = dataset._cache.get("validate")
-    if report is None:
-        report = dataset._cache["validate"] = validate(dataset)
-    return report
 
 
 def _journals(args, strict: bool = True) -> Dataset:
-    """The dataset of the journal CSV at --input.  In-process callers of
-    ``main`` parse a file once while its bytes stay the same: the first parse
-    digests the bytes as it reads them, later calls digest the file first.
-    The console script and a pipe parse on every call.  Errors are not kept;
-    a strict caller gets the parser's error for a cross-field break."""
-    if not (_keep_parsed and os.path.isfile(args.input)):  # a pipe's bytes can be read only once
-        _parsed.clear()
-        return ingest.read_csv(args.input, ingest.parse_journals_csv, strict=strict)
+    """The dataset of the journal CSV at --input, parsed once while its bytes
+    stay the same.  The first parse in a process digests the bytes as it
+    reads them; later calls digest a regular file first and reuse the kept
+    dataset on a match.  A pipe's bytes can be read only once, so it is
+    parsed on every call, then kept like a file.  Errors are not kept: a
+    strict caller gets a new ParseError for the dataset's cross-field break."""
     try:  # hashlib's blake2b, without the OpenSSL that hashlib loads
         from _blake2 import blake2b as hasher
     except ImportError:  # a CPython built without its own blake2, which hashlib's needs
         from hashlib import sha256 as hasher
-    if _parsed:
+    dataset = None
+    if _parsed and os.path.isfile(args.input):
         digest = hasher()
         with open(args.input, "rb") as f:
             for chunk in iter(functools.partial(f.read, 1 << 16), b""):
                 digest.update(chunk)
         dataset = _parsed.get(digest.digest())
-        if dataset is not None and not (strict and _report(dataset)):
-            return dataset
-    _parsed.clear()  # the old dataset goes before the new one is built
-    digest = hasher()  # of the bytes parsed, should the file change meanwhile
-    dataset = ingest.read_csv(args.input, ingest.parse_journals_csv, digest, strict=strict)
-    if strict:  # the strict parse checked validate's rules
-        dataset._cache["validate"] = []
-    _parsed[digest.digest()] = dataset
+    if dataset is None:
+        _parsed.clear()  # the old dataset goes before the new one is built
+        digest = hasher()  # of the bytes parsed, should the file change meanwhile
+        dataset = ingest.read_csv(args.input, ingest.parse_journals_csv, digest, strict=False)
+        _parsed[digest.digest()] = dataset
+    if strict and "break" in dataset._cache:
+        raise ingest.ParseError(*dataset._cache["break"])
     return dataset
 
 
@@ -159,7 +148,7 @@ def _cells(obj, names, fmt: Callable[[Optional[float]], str]) -> tuple[str, ...]
 
 
 def _validate_rows(args) -> Outputs:
-    report = _report(_journals(args, strict=False))
+    report = validate(_journals(args, strict=False))
     rows = [(v.record_id, v.rule) for v in report]
     return (DATA_ERROR if report else 0), {"": (("record_id", "rule"), rows)}
 
@@ -501,9 +490,9 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    global _keep_parsed
-    _keep_parsed = False  # one command per process: no later command to share a parse with
-    raise SystemExit(main())
+    code = main()
+    _parsed.clear()  # freeing the dataset here costs less than at interpreter exit
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

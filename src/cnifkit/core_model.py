@@ -173,10 +173,10 @@ class Dataset:
     must not change them.  Journal ids are unique: construction raises
     ``ValueError`` on a repeat.  ``_cache`` holds values derived from the
     columns on first use: the records here, the category table in
-    ``indicators``, the score columns in ``ranking`` and the ``validate``
-    report in ``cli``.  It is left out of
-    equality and repr, and stays valid only because nothing changes the
-    columns after construction.  So one dataset may serve several commands
+    ``indicators`` and the score columns in ``ranking``; a lenient parse
+    puts the first cross-field break there as ``(line, message)``.  It is
+    left out of equality and repr, and stays valid only because nothing
+    changes the columns after construction.  So one dataset may serve several commands
     in a process: the CLI parses a journal CSV once while its bytes stay the
     same, and each later command reuses the values cached here.
     """

@@ -82,7 +82,8 @@ class CategoryFixtureRow(_FixtureFields):
 
 def _records(stream: IO[str], header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Check the header row, then yield each record with its first physical
-    line; a wrong field count or malformed CSV raises ParseError at that line."""
+    line; a wrong field count, malformed CSV or a byte that is not UTF-8
+    raises ParseError at that line."""
     reader = csv.reader(stream)
     end = 0  # last physical line read
     try:
@@ -100,6 +101,13 @@ def _records(stream: IO[str], header: list[str]) -> Iterator[tuple[int, list[str
             end = reader.line_num
     except csv.Error as exc:
         raise ParseError(end + 1, str(exc)) from None
+    except UnicodeDecodeError as exc:
+        # exc.object is the chunk being decoded; the reader has read every
+        # line that ends before it, and a line ends at "\n", "\r\n" or a lone "\r"
+        before = exc.object[: exc.start]
+        ends = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        message = f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise ParseError(reader.line_num + 1 + ends, message) from None
 
 
 def _parse_count(value: str, column: str, line: int) -> int:
@@ -118,9 +126,11 @@ def parse_journals_csv(stream: IO[str], strict: bool = True) -> Dataset:
     """Parse the journal-level CSV schema into a validated, columnar Dataset.
 
     One streaming pass checks each record as it is read and raises a
-    structural error at once.  ``strict`` adds ``validate``'s two cross-field
-    rules; the first record breaking one is raised after the last row, so
-    structural errors anywhere come first.
+    structural error at once.  It also finds the first record that breaks one
+    of ``validate``'s two cross-field rules.  A ``strict`` parse raises that
+    break after the last row, so structural errors anywhere come first; a
+    lenient one keeps it as ``(line, message)`` in the dataset's
+    ``_cache["break"]``, which is absent when no record breaks a rule.
     """
     values: list = []
     members: defaultdict[str, list[int]] = defaultdict(list)
@@ -162,16 +172,16 @@ def parse_journals_csv(stream: IO[str], strict: bool = True) -> Dataset:
             for i, value in enumerate(row[3:], start=3):
                 if value or i < 7:  # the three refs_* columns may be empty
                     _parse_count(value, JOURNAL_HEADER[i], line)
-        if strict and violation is None and rj is not None:
+        if violation is None and rj is not None:
             if rt is not None and rj > rt:
-                violation = ParseError(line, f"journal {jid}: refs_jcr exceeds refs_total")
+                violation = line, f"journal {jid}: refs_jcr exceeds refs_total"
             elif rjw is not None and rjw > rj:
-                violation = ParseError(line, f"journal {jid}: refs_jcr_in_window exceeds refs_jcr")
+                violation = line, f"journal {jid}: refs_jcr_in_window exceeds refs_jcr"
         values += jid, name, codes, t, t1, t2, cited, rt, rj, rjw
         for code in codes:
             members[code].append(row_index)
-    if violation is not None:
-        raise violation
+    if strict and violation is not None:
+        raise ParseError(*violation)
     # Split into columns after freeing the id set and the memo, so memory
     # peaks lower.  One flat list, not a tuple per row: the tuple free list
     # would keep 2,000 freed row tuples for the life of the process.
@@ -179,7 +189,10 @@ def parse_journals_csv(stream: IO[str], strict: bool = True) -> Dataset:
     del seen, category_sets
     n = len(FIELDS)
     columns = {name: tuple(values[k::n]) for k, name in enumerate(FIELDS)}
-    return Dataset._from_columns(columns, members)
+    dataset = Dataset._from_columns(columns, members)
+    if violation is not None:
+        dataset._cache["break"] = violation
+    return dataset
 
 
 class _DigestedFile(io.FileIO):
@@ -199,24 +212,15 @@ def read_csv(path: str, parse: Callable[..., T], digest=None, **kwargs) -> T:
     """Parse the CSV file at ``path`` with ``parse(stream, **kwargs)``; a
     ``digest`` is updated with each byte the parse reads.
 
-    The file is read as UTF-8; utf-8-sig drops the byte-order mark that Excel
-    writes before the header.  A byte that is not UTF-8 is a ParseError at
-    the physical line that holds it.
+    The file is read once, as UTF-8; utf-8-sig drops the byte-order mark that
+    Excel writes before the header.  A byte that is not UTF-8 is a ParseError
+    at the physical line that holds it, a lone CR ending a line as the CSV
+    reader has it.  When a read chunk ends exactly on a lone CR, that line
+    end is not counted yet, so the line comes out one too low.
     """
     raw = io.FileIO(path) if digest is None else _DigestedFile(path, digest)
-    try:
-        with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="") as f:
-            return parse(f, **kwargs)
-    except UnicodeDecodeError:
-        with open(path, "rb") as f:  # the decoder's offset is within its chunk
-            data = f.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-            raise ParseError(line, message) from None
-        raise
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="") as f:
+        return parse(f, **kwargs)
 
 
 def _parse_printed(value: str, column: str, line: int) -> Optional[float]:

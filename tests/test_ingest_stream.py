@@ -6,6 +6,11 @@ every row first, builds one ``JournalRecord`` per row, converts each count
 through ``_parse_count`` and, in strict mode, runs ``validate`` over the
 parsed dataset.  On input without embedded newlines the streaming parser must give
 an equal dataset, or the same first ParseError line and message.
+
+``oracle_utf8_error`` is the rule ``read_csv`` once used to place a byte that
+is not UTF-8: decode the whole file again and count the "\n" before it.  The
+parser now takes the line from the chunk the decoder was reading, and must
+agree with it on LF and CRLF input.
 """
 import copy
 import csv
@@ -180,6 +185,10 @@ def test_stream_parser_matches_oracle(rows, strict, newline, stream):
         assert got == Dataset(got.journals)  # the columns hold each record's fields
         for code in got.category_codes():
             assert got.members(code) == [j for j in got.journals if code in j.categories]
+    lenient, strict_got = (_outcome(parse_journals_csv, text, s, stream) for s in (False, True))
+    if isinstance(lenient, Dataset):  # a lenient parse keeps the break a strict one raises
+        line, message = lenient._cache.get("break", (None, None))
+        assert strict_got == (lenient if line is None else (line, f"line {line}: {message}"))
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -252,6 +261,41 @@ class TestPhysicalLines:
             parse_category_fixture_csv(io.StringIO(buf.getvalue()))
         assert str(exc.value) == "line 4: non-integer count in refs_jcr: 'x'"
         assert exc.value.line == 4
+
+
+def oracle_utf8_error(data: bytes) -> Optional[tuple[int, str]]:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return line, f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.text(alphabet='ab ,"\né', max_size=6), max_size=12),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+    st.sampled_from([b"\xe9", b"\xff", b"\x80", b"\xc3"]),
+    st.integers(0, 10**6),
+    st.sampled_from([1, 2, 3, 5, 16, 8192]),
+)
+def test_a_non_utf8_byte_is_placed_as_the_whole_file_rule_places_it(
+    names, newline, bom, bad, position, chunk_size
+):
+    rows = [[f"j{i}", name, "A", "1", "1", "1", "1", "", "", ""] for i, name in enumerate(names)]
+    data = (b"\xef\xbb\xbf" if bom else b"") + _text(rows, newline).encode("utf-8")
+    position %= len(data) + 1
+    if data[position - 1 : position + 1] == b"\r\n":  # it would leave a lone CR
+        position -= 1
+    data = data[:position] + bad + data[position:]
+    # read as read_csv reads a file, in chunks of chunk_size bytes
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    stream._CHUNK_SIZE = chunk_size
+    with pytest.raises(ParseError) as exc:
+        parse_journals_csv(stream, strict=False)
+    assert (exc.value.line, str(exc.value)) == oracle_utf8_error(data)
 
 
 class TestMalformedCsv:

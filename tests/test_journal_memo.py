@@ -168,21 +168,25 @@ def test_the_first_parse_in_a_process_reads_the_file_once(tmp_path, monkeypatch)
     assert len(cli._parsed) == 1
 
 
-def test_the_validate_report_is_computed_once_per_dataset(tmp_path, monkeypatch):
+def test_one_parse_serves_validate_and_the_strict_commands(tmp_path, monkeypatch):
+    # the parse finds the first cross-field break whether or not it is strict,
+    # so no strict command needs validate, on a clean dataset or a broken one
     calls = Counter()
     monkeypatch.setattr(
         ingest, "parse_journals_csv", counting(calls, "parse", ingest.parse_journals_csv)
     )
     monkeypatch.setattr(cli, "validate", counting(calls, "validate", cli.validate))
-    path = write_csv(tmp_path / "journals.csv", ROWS)
-    for command in (["validate"], ["indicators"], ["validate"], ["cnif"]):
-        assert main(command + ["--input", path, "--out", str(tmp_path / "out.csv")]) == 0
-    assert calls == Counter({"parse": 1, "validate": 1})
-    cli._parsed.clear()
-    calls.clear()  # a strict parse checks validate's rules as it reads
-    for command in (["indicators"], ["validate"]):
-        assert main(command + ["--input", path, "--out", str(tmp_path / "out.csv")]) == 0
-    assert calls == Counter({"parse": 1})
+    clean = write_csv(tmp_path / "clean.csv", ROWS)
+    broken = write_csv(tmp_path / "broken.csv", ROWS + ["bad,Bad,A,1,1,1,1,10,20,5"])
+    out = str(tmp_path / "out.csv")
+    for path, codes in ((clean, {"validate": 0, "strict": 0}), (broken, {"validate": 1, "strict": 2})):
+        for first in (["validate"], ["indicators"]):
+            cli._parsed.clear()
+            calls.clear()
+            for command in (first, ["cnif"], ["validate"], ["gap"], ["rank"]):
+                code = codes["validate" if command == ["validate"] else "strict"]
+                assert main(command + ["--input", path, "--out", out]) == code
+            assert calls == Counter({"parse": 1, "validate": 1 + (first == ["validate"])})
 
 
 def test_commands_work_without_the_builtin_blake2(tmp_path, monkeypatch):
@@ -227,15 +231,47 @@ def test_a_pipe_is_parsed_as_it_is_read(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
 
 
-def test_the_console_script_keeps_no_parse(tmp_path, monkeypatch, capsys):
-    # it runs one command per process, so it neither digests nor keeps one
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_a_pipe_is_kept_by_the_digest_of_its_bytes(tmp_path):
+    # a pipe is never digested before its parse, but the bytes its parse read
+    # key its dataset, so a regular file with the same bytes reuses it
     path = write_csv(tmp_path / "journals.csv", ROWS)
-    monkeypatch.setattr(cli, "_keep_parsed", True)
+    code = (
+        "import sys; from cnifkit import cli, ingest\n"
+        "assert cli.main(['validate', '--input', '/dev/stdin']) == 0\n"
+        "assert len(cli._parsed) == 1\n"
+        "ingest.parse_journals_csv = None  # a second parse would fail\n"
+        "sys.exit(cli.main(['indicators', '--input', sys.argv[1]]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, path],
+        input=Path(path).read_bytes(), capture_output=True, env=env, timeout=60,
+    )
+    expected = run(["indicators"], path, tmp_path / "file.csv")[1]["file.csv"]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"record_id,rule\n" + expected, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_a_piped_byte_that_is_not_utf8_is_an_error_at_its_line(tmp_path):
+    data = (HEADER + "\n" + ROWS[0] + "\n").encode() + b"j2,Caf\xe9,A,1,1,1,1,,,\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cnifkit", "validate", "--input", "/dev/stdin"],
+        input=data, capture_output=True, env=env, timeout=60,
+    )
+    message = b"error: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message)
+
+
+def test_the_console_script_clears_the_parse_at_exit(tmp_path, monkeypatch, capsys):
+    # it runs one command per process and frees the dataset before it exits
+    path = write_csv(tmp_path / "journals.csv", ROWS)
     monkeypatch.setattr(sys, "argv", ["cnifkit", "indicators", "--input", path])
     with pytest.raises(SystemExit) as exc:
         cli.entrypoint()
     assert exc.value.code == 0
-    assert cli._parsed == {} and not cli._keep_parsed
+    assert cli._parsed == {}
     assert capsys.readouterr().out == run(["indicators"], path, tmp_path / "in.csv")[1]["in.csv"].decode()
 
 
