@@ -340,7 +340,7 @@ def _table3_rows(args) -> Outputs:
             got = matrix.get(x, y)
             rows.append(_check(key, got, want, reference.CORRELATION_TOLERANCE, (4, 2)))
         top_k, want = reference.PCA_TOP_SHARE[edition]
-        shares = sorted(stats.pca_variance_shares(columns).attributed_shares.values(), reverse=True)
+        shares = sorted(stats.pca_of(matrix).attributed_shares.values(), reverse=True)
         key = (edition, f"pca top-{top_k} share")
         got = sum(shares[:top_k])
         rows.append(_check(key, got, want, reference.PCA_TOP_SHARE_TOLERANCE, (4, 4)))

@@ -6,6 +6,7 @@ standard-deviation-band histograms.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
@@ -98,21 +99,12 @@ def _sd(x: np.ndarray) -> np.ndarray:
         return x.std(axis=0, ddof=1)
 
 
-def _pearson(x: np.ndarray, y: np.ndarray, pair: tuple[str, str]) -> float:
-    import numpy as np
-    xc = x - x.mean()
-    yc = y - y.mean()
-    ss = float(np.dot(xc, xc)) * float(np.dot(yc, yc))  # inf, not a warning, on overflow
-    if not math.isfinite(ss):
-        raise ValueError(f"correlation of {pair[0]} and {pair[1]} overflows")
-    return float(np.dot(xc, yc) / math.sqrt(ss))
-
-
 def correlation_matrix(columns: dict[str, Sequence[Optional[float]]]) -> Matrix:
     """Pearson correlations after listwise deletion of incomplete rows.
 
-    Each unordered pair is computed once and mirrored, so the result is
-    exactly symmetric with a unit diagonal.
+    Each column is centred and its sum of squares taken once; each unordered
+    pair is computed once and mirrored, so the result is exactly symmetric
+    with a unit diagonal.
     """
     import numpy as np
     complete, _ = listwise_complete(columns)
@@ -122,12 +114,14 @@ def correlation_matrix(columns: dict[str, Sequence[Optional[float]]]) -> Matrix:
             raise ValueError("need at least 2 complete rows")
         if not np.isfinite(_sd(v)) or np.ptp(v) == 0:
             raise ValueError(f"column {k} has non-finite or zero variance")
-    m = len(labels)
-    out = np.eye(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            rho = _pearson(complete[labels[i]], complete[labels[j]], (labels[i], labels[j]))
-            out[i, j] = out[j, i] = rho
+    centred = [v - v.mean() for v in complete.values()]
+    squares = [float(np.dot(c, c)) for c in centred]
+    out = np.eye(len(labels))
+    for i, j in itertools.combinations(range(len(labels)), 2):
+        ss = squares[i] * squares[j]  # inf, not a warning, on overflow
+        if not math.isfinite(ss):
+            raise ValueError(f"correlation of {labels[i]} and {labels[j]} overflows")
+        out[i, j] = out[j, i] = float(np.dot(centred[i], centred[j]) / math.sqrt(ss))
     return Matrix(labels, out)
 
 
@@ -135,7 +129,11 @@ _JACOBI_TOL = 1e-12
 
 
 def symmetric_eigendecomposition(m: Matrix) -> EigenResult:
-    """Cyclic Jacobi rotations until the off-diagonal norm drops below _JACOBI_TOL."""
+    """Cyclic Jacobi rotations until a sweep rotates no pair, at most 100 sweeps.
+
+    It also ends once the off-diagonal norm drops below _JACOBI_TOL, which on a
+    correlation matrix (a difference of sums near n) happens only at exactly 0.
+    """
     import numpy as np
     a = np.array(m.values, dtype=float)
     n = a.shape[0]
@@ -147,11 +145,13 @@ def symmetric_eigendecomposition(m: Matrix) -> EigenResult:
         off = math.sqrt(max(0.0, float(np.sum(a**2) - np.sum(np.diag(a) ** 2))))
         if off < _JACOBI_TOL:
             break
+        idle = True
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
                 if abs(apq) < _JACOBI_TOL / (n * n):
                     continue
+                idle = False
                 theta = (a[q, q] - a[p, p]) / (2 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1))
                 c = 1 / math.sqrt(t * t + 1)
@@ -162,6 +162,8 @@ def symmetric_eigendecomposition(m: Matrix) -> EigenResult:
                 rot[q, p] = -s
                 a = rot.T @ a @ rot
                 v = v @ rot
+        if idle:
+            break
     eigenvalues = np.diag(a).copy()
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = eigenvalues[order]
@@ -170,7 +172,12 @@ def symmetric_eigendecomposition(m: Matrix) -> EigenResult:
 
 
 def pca_variance_shares(columns: dict[str, Sequence[Optional[float]]]) -> PcaResult:
-    """Attribute each principal component's variance share to one variable.
+    """``pca_of`` the columns' correlation matrix."""
+    return pca_of(correlation_matrix(columns))
+
+
+def pca_of(corr: Matrix) -> PcaResult:
+    """Attribute each principal component of a correlation matrix to one variable.
 
     Components are taken in descending eigenvalue order and each is credited
     to the not-yet-credited variable with the largest absolute loading, so
@@ -178,7 +185,6 @@ def pca_variance_shares(columns: dict[str, Sequence[Optional[float]]]) -> PcaRes
     sum to one.
     """
     import numpy as np
-    corr = correlation_matrix(columns)
     eig = symmetric_eigendecomposition(corr)
     labels = corr.labels
     assigned: list[str] = []
@@ -235,12 +241,20 @@ def ward_cluster(
         x = x[order]
         leaf_labels = tuple(labels[i] for i in order)
 
-        # 8 rows at a time, so no n x n x dim difference array is held (the
-        # block sets the peak memory of clustering the bundled table); each
-        # entry is the same length-dim sum, so d is bit-identical to one pass
-        d = np.empty((n, n))
+        # 8 rows at a time, so no n x n x dim difference array is held; numpy
+        # sums fewer than 8 terms left to right, so below 8 dimensions adding
+        # each dimension's squares in turn, through one 8 x n buffer, gives
+        # np.sum's bits in less time
+        d, step = np.empty((n, n)), np.empty((8, n))
         for s in range(0, n, 8):
-            d[s : s + 8] = np.sum((x[s : s + 8, None, :] - x[None, :, :]) ** 2, axis=2)
+            block, part = d[s : s + 8], step[: min(8, n - s)]
+            if x.shape[1] >= 8:
+                block[:] = np.sum((x[s : s + 8, None, :] - x[None, :, :]) ** 2, axis=2)
+                continue
+            block[:] = 0.0
+            for c in x.T:
+                np.subtract.outer(c[s : s + 8], c, out=part)
+                block += np.multiply(part, part, out=part)
         np.fill_diagonal(d, np.inf)  # merged-away rows and columns become inf too
         ids = list(range(n))  # row -> cluster id; row i keeps a merge of rows i < j
         tags = list(leaf_labels)
@@ -338,8 +352,8 @@ def ks_normality(sample: Sequence[float], alpha: float = 0.05, lilliefors: bool 
     s = _sd(x)
     if s == 0 or not np.isfinite(s):
         raise ValueError("degenerate sample: non-finite or zero standard deviation")
-    m = x.mean()
-    cdf = np.array([_normal_cdf((v - m) / s) for v in x])
+    m, s = float(x.mean()), float(s)  # Python floats: the same bits, a faster loop
+    cdf = np.array([_normal_cdf((v - m) / s) for v in x.tolist()])
     i = np.arange(1, n + 1)
     d = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
     if lilliefors:

@@ -542,6 +542,15 @@ class TestReproduction:
         assert main(["reproduce-table3", "--out", str(out)]) == 0
         assert "MISMATCH" not in out.read_text()
 
+    def test_table3_computes_one_correlation_matrix_per_edition(self, tmp_path, monkeypatch):
+        from cnifkit import stats
+
+        calls = []
+        real = stats.correlation_matrix
+        monkeypatch.setattr(stats, "correlation_matrix", lambda columns: calls.append(1) or real(columns))
+        assert main(["reproduce-table3", "--out", str(tmp_path / "t3.csv")]) == 0
+        assert len(calls) == 2  # science and social; the PCA reuses each matrix
+
     def test_table4_reports_known_divergences(self, tmp_path):
         # the bundled table cannot reproduce 7 published coverage cells (see
         # acceptance criterion 7); the command must mark exactly those cells

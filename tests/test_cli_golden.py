@@ -67,6 +67,8 @@ def _fixture_cases():
         for table, code in (("1", 0), ("3", 0), ("4", 1)):
             yield f"reproduce-table{table}-{fmt}", [f"reproduce-table{table}", "--format", fmt], code
     yield "stats-pca-json", ["stats", "pca", "--edition", "science", "--format", "json"], 0
+    for edition in ("social", "all"):
+        yield f"stats-pca-{edition}-json", ["stats", "pca", "--edition", edition, "--format", "json"], 0
     yield "stats-corr-digits0", ["stats", "corr", "--edition", "social", "--digits", "0"], 0
     yield "stats-corr-json-digits5", ["stats", "corr", "--format", "json", "--digits", "5"], 0
     yield "stats-ks-lilliefors", ["stats", "ks", "--edition", "social", "--lilliefors"], 0
@@ -271,8 +273,14 @@ EXPECTED = {
     "stats-ks-lilliefors": {
         "": "2e3bc3efabbe103965086a4c5027881b660cf6eb9dfb9a908c45973b35771713",
     },
+    "stats-pca-all-json": {
+        "": "6f7c65b558907d34df40f1f3b84c02fbb3da5bedd2a10811d12f7a7b66d76e69",
+    },
     "stats-pca-json": {
         "": "c3303de7a7b9555234ce4e4d7835dc7ddc5ae1f64106c58ffe2827d1e1fa8959",
+    },
+    "stats-pca-social-json": {
+        "": "1f6cc51569e1899d1c8de02c84c81b09e8648c2b4851028a6122d88f2a7f6c3f",
     },
     "validate-clean-csv": {
         "": "93fa70a31e7ecd4e8d0cc28fc5c00e89f7facc310a390a09ef5d0b5f62d69e2d",

@@ -22,6 +22,7 @@ from cnifkit.stats import (
     histogram_by_sd,
     ks_normality,
     listwise_complete,
+    pca_of,
     pca_variance_shares,
     symmetric_eigendecomposition,
     ward_cluster,
@@ -71,7 +72,86 @@ class TestCorrelation:
         assert np.allclose(m.values, oracle, atol=1e-12)
 
 
+def hundred_sweep_jacobi(values):
+    """The Jacobi loop that the idle-sweep exit of symmetric_eigendecomposition
+    shortened.
+
+    Kept as a differential oracle: it runs until the off-diagonal norm drops
+    below the tolerance or for 100 sweeps, rotating or not.
+    """
+    a = np.array(values, dtype=float)
+    n = a.shape[0]
+    a = (a + a.T) / 2
+    v = np.eye(n)
+    for _ in range(100):
+        off = math.sqrt(max(0.0, float(np.sum(a**2) - np.sum(np.diag(a) ** 2))))
+        if off < 1e-12:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) < 1e-12 / (n * n):
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1))
+                c = 1 / math.sqrt(t * t + 1)
+                s = t * c
+                rot = np.eye(n)
+                rot[p, p] = rot[q, q] = c
+                rot[p, q] = s
+                rot[q, p] = -s
+                a = rot.T @ a @ rot
+                v = v @ rot
+    eigenvalues = np.diag(a).copy()
+    order = np.argsort(eigenvalues)[::-1]
+    return eigenvalues[order], v[:, order]
+
+
+@st.composite
+def correlated_columns(draw):
+    """2 to 6 columns of 3 to 30 rows, some a near-copy of an earlier one."""
+    n, rows = draw(st.integers(2, 6)), draw(st.integers(3, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((rows, n))
+    for k in range(1, n):
+        if draw(st.booleans()):  # near-collinear with column j
+            j = draw(st.integers(0, k - 1))
+            x[:, k] = x[:, j] * draw(st.sampled_from([1.0, -2.0, 3.5])) + rng.standard_normal(rows) * 1e-9
+    return {f"c{k}": x[:, k].tolist() for k in range(n)}
+
+
 class TestEigendecomposition:
+    @pytest.mark.parametrize("edition", ["science", "social", "all"])
+    def test_bundled_table_identical_to_hundred_sweeps(self, fixture_rows, edition):
+        m = correlation_matrix(component_columns(edition_rows(fixture_rows, edition)))
+        res = symmetric_eigendecomposition(m)
+        eigenvalues, eigenvectors = hundred_sweep_jacobi(m.values)
+        assert np.array_equal(res.eigenvalues, eigenvalues)
+        assert np.array_equal(res.eigenvectors, eigenvectors)
+
+    @settings(max_examples=150, deadline=None)
+    @given(correlated_columns())
+    def test_drawn_correlations_identical_to_hundred_sweeps(self, columns):
+        try:
+            m = correlation_matrix(columns)
+        except ValueError:  # a near-copy can overflow or lose its variance
+            return
+        res = symmetric_eigendecomposition(m)
+        eigenvalues, eigenvectors = hundred_sweep_jacobi(m.values)
+        assert np.array_equal(res.eigenvalues, eigenvalues)
+        assert np.array_equal(res.eigenvectors, eigenvectors)
+
+    @pytest.mark.parametrize("edition", ["science", "social", "all"])
+    def test_sweeps_end_once_no_pair_rotates(self, fixture_rows, edition, monkeypatch):
+        # each sweep measures the off-diagonal norm with one np.diag call, and
+        # the eigenvalues take one more; no pair rotates after the 5th sweep
+        m = correlation_matrix(component_columns(edition_rows(fixture_rows, edition)))
+        calls = []
+        real = np.diag
+        monkeypatch.setattr(np, "diag", lambda *a, **k: calls.append(1) or real(*a, **k))
+        symmetric_eigendecomposition(m)
+        assert len(calls) - 1 <= 6
+
     def test_identity(self):
         m = Matrix(tuple("abcde"), np.eye(5))
         res = symmetric_eigendecomposition(m)
@@ -114,6 +194,15 @@ class TestEigendecomposition:
 
 
 class TestPca:
+    @pytest.mark.parametrize("edition", ["science", "social", "all"])
+    def test_pca_of_the_matrix_is_pca_of_its_columns(self, fixture_rows, edition):
+        columns = component_columns(edition_rows(fixture_rows, edition))
+        got, want = pca_of(correlation_matrix(columns)), pca_variance_shares(columns)
+        assert (got.labels, got.attributed_shares, got.assignment) == (
+            want.labels, want.attributed_shares, want.assignment
+        )
+        assert all(np.array_equal(g, w) for g, w in zip(got.eigen, want.eigen))
+
     def test_identity_correlation_uniform_attribution(self):
         # independent columns -> each variable credited one unit eigenvalue
         rng = random.Random(9)
