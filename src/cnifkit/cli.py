@@ -1,8 +1,9 @@
 """Command-line front end: ingest -> indicators -> ranking/stats -> reports.
 
 Each command is a ``COMMANDS`` entry whose row function returns the exit code
-and every output's columns and rows; ``main`` writes them only after all are
-computed.
+and, for every output, its column names, each column's values (numbers, text,
+None where undefined) and the decimals of the columns shown at fixed decimals.
+``main`` formats those cells only after every value is computed, as it writes.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import math
 import os
 import sys
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import indicators, ingest, ranking, reference, stats
 from .core_model import Dataset, Edition, clip, validate
@@ -22,7 +23,8 @@ USAGE_ERROR = 2
 DATA_ERROR = 1
 COMPONENTS = ("a", "r", "p", "w", "b")
 
-Table = tuple[tuple[str, ...], list[tuple]]  # column names, rows aligned with them
+# column names, each column's values, {name: decimals} of the columns the writer formats
+Table = tuple[tuple[str, ...], Iterable[Iterable], dict[str, int]]
 Outputs = tuple[int, dict[str, Table]]  # exit code, {--out suffix: table}
 
 
@@ -143,74 +145,69 @@ def _formatter(digits: int) -> Callable[[Optional[float]], str]:
     return fmt
 
 
-def _cells(obj, names, fmt: Callable[[Optional[float]], str]) -> tuple[str, ...]:
-    return tuple(fmt(getattr(obj, name)) for name in names)
-
-
 def _validate_rows(args) -> Outputs:
     report = validate(_journals(args, strict=False))
-    rows = [(v.record_id, v.rule) for v in report]
-    return (DATA_ERROR if report else 0), {"": (("record_id", "rule"), rows)}
+    return (DATA_ERROR if report else 0), {"": (("record_id", "rule"), zip(*report), {})}
 
 
 def _indicator_rows(args) -> Outputs:
-    dataset = _journals(args)
-    fmt, rows = _formatter(args.digits), []
+    dataset, rows = _journals(args), []
     for code in dataset.category_codes():
         agg = indicators.category_aggregate(dataset, code)
-        try:
-            aif = fmt(indicators.aggregate_impact_factor(agg))
+        aif, cv = None, (None,) * len(COMPONENTS)
+        try:  # the components are undefined wherever the AIF is
+            aif = indicators.aggregate_impact_factor(agg)
+            cv = indicators.components(agg)
         except ValueError:  # UndefinedIndicatorError
-            aif = ""
-        try:
-            cells = _cells(indicators.components(agg), COMPONENTS, fmt)
-        except ValueError:
-            cells = ("",) * len(COMPONENTS)
-        journals = len(dataset.member_rows(code))
-        rows.append((code, journals, aif, *cells, agg.reference_exclusions))
+            pass
+        rows.append((code, len(dataset.member_rows(code)), aif, *cv, agg.reference_exclusions))
     columns = ("category", "journals", "aif", *COMPONENTS, "reference_exclusions")
-    return 0, {"": (columns, rows)}
+    return 0, {"": (columns, zip(*rows), dict.fromkeys(columns[2:-1], args.digits))}
 
 
 def _decompose_rows(args) -> Outputs:
-    fmt, rows = _formatter(args.digits), []
     if args.input is not None:
-        dataset = _journals(args)
+        dataset, rows = _journals(args), []
         for code in dataset.category_codes():
             agg = indicators.category_aggregate(dataset, code)
             cv = indicators.components(agg)
-            product = fmt(indicators.recompose(cv))
-            aif = fmt(indicators.aggregate_impact_factor(agg))
-            rows.append((code, *_cells(cv, COMPONENTS, fmt), product, aif))
-        return 0, {"": (("category", *COMPONENTS, "product", "aif"), rows)}
-    for r in _fixture(args):
-        rows.append((r.code, *map(fmt, indicators.fixture_reference_components(r))))
-    return 0, {"": (("category", "p", "w", "b"), rows)}
+            aif = indicators.aggregate_impact_factor(agg)
+            rows.append((code, *cv, indicators.recompose(cv), aif))
+        columns = ("category", *COMPONENTS, "product", "aif")
+    else:
+        rows = [(r.code, *indicators.fixture_reference_components(r)) for r in _fixture(args)]
+        columns = ("category", "p", "w", "b")
+    return 0, {"": (columns, zip(*rows), dict.fromkeys(columns[1:], args.digits))}
 
 
 def _cnif_rows(args) -> Outputs:
     dataset = _journals(args)
-    ids, fmt, rows = dataset.columns["id"], _formatter(args.digits), []
+    ids, terms = dataset.columns["id"], []
     order = sorted(range(len(ids)), key=ids.__getitem__)
-    for i, terms in ranking.cnif_scored(dataset, order):  # streamed
-        if isinstance(terms, ValueError):  # UndefinedIndicatorError: the first in id order aborts
-            raise terms
-        rows.append((ids[i], *map(fmt, terms)))
-    return 0, {"": (("journal_id", "if", "meta_aif", "jcr_aif", "score", "cnif"), rows)}
+    for _, t in ranking.cnif_scored(dataset, order):  # streamed
+        if isinstance(t, ValueError):  # UndefinedIndicatorError: the first in id order aborts
+            raise t
+        terms.append(t)
+    columns = ("journal_id", "if", "meta_aif", "jcr_aif", "score", "cnif")
+    values = ([ids[i] for i in order], *zip(*terms))
+    return 0, {"": (columns, values, dict.fromkeys(columns[1:], args.digits))}
 
 
 def _rank_rows(args) -> Outputs:
     dataset = _journals(args)
     column, ids = ranking.score_column(dataset, args.scorer), dataset.columns["id"]
+    codes, journal_ids, scores, ranks, pcts = [], [], [], [], []  # built category by category
+    for code in dataset.category_codes():
+        rows, rank, pct = zip(*ranking._ranked(column, ids, dataset.member_rows(code)))
+        codes += [code] * len(rows)
+        journal_ids += [ids[i] for i in rows]
+        scores += [column[i] for i in rows]
+        ranks += rank
+        pcts += pct
     # score_desc names the scorer: a higher score is a better (lower) percentile
     columns = ("category", "journal_id", "score_desc", "score", "rank", "percentile")
-    fmt = _formatter(args.digits)
-    rows = [
-        (code, ids[i], args.scorer, fmt(column[i]), rank, fmt(pct))
-        for code in dataset.category_codes()
-        for i, rank, pct in ranking._ranked(column, ids, dataset.member_rows(code))
-    ]
-    return 0, {"": (columns, rows)}
+    values = (codes, journal_ids, [args.scorer] * len(codes), scores, ranks, pcts)
+    return 0, {"": (columns, values, {"score": args.digits, "percentile": args.digits})}
 
 
 def _gap_rows(args) -> Outputs:
@@ -218,24 +215,25 @@ def _gap_rows(args) -> Outputs:
     summary, reports = ranking.compare_gaps(dataset)
     # compare_gaps ranked every row, so both columns hold only floats
     by_if, by_cnif = ranking.score_column(dataset, "if"), ranking.score_column(dataset, "cnif")
-    categories, fmt, rows = dataset.columns["categories"], _formatter(args.digits), []
-    for i, r in zip(ranking._report_rows(dataset), reports):  # the row of each report's journal
-        cells = map(fmt, (by_if[i], by_cnif[i], r.gap_if, r.gap_cnif))
-        rows.append((r.journal_id, ";".join(categories[i]), *cells))
+    categories, rows = dataset.columns["categories"], []
+    for i, (journal_id, *gaps) in zip(ranking._report_rows(dataset), reports):  # i: its row
+        rows.append((journal_id, ";".join(categories[i]), by_if[i], by_cnif[i], *gaps))
     columns = ("journal_id", "categories", "if", "cnif", "gap_if", "gap_cnif")
-    measures = ("max_gap_if", "max_gap_cnif", "mean_gap_if", "mean_gap_cnif", "fraction_reduced")
-    summary_row = (summary.journal_count, *_cells(summary, measures, fmt))
-    return 0, {"": (columns, rows), ".summary": (("journal_count", *measures), [summary_row])}
+    measures = ranking.GapSummary._fields
+    return 0, {
+        "": (columns, zip(*rows), dict.fromkeys(columns[2:], args.digits)),
+        ".summary": (measures, zip(summary), dict.fromkeys(measures[1:], args.digits)),
+    }
 
 
 def _corr_rows(args) -> Outputs:
     matrix = stats.correlation_matrix(component_columns(_fixture(args)))
-    if args.format == "json":
-        first, cell = "variable", lambda v: round_away(v, args.digits)
-    else:  # the CSV header row starts with an empty cell
-        first, cell = "", _formatter(args.digits)
-    rows = [(lab, *map(cell, matrix.values[i].tolist())) for i, lab in enumerate(matrix.labels)]
-    return 0, {"": ((first, *matrix.labels), rows)}
+    values = (matrix.labels, *matrix.values.T.tolist())
+    if args.format == "json":  # the cells are numbers, rounded
+        values = (matrix.labels, *([round_away(v, args.digits) for v in col] for col in values[1:]))
+        return 0, {"": (("variable", *matrix.labels), values, {})}
+    # the CSV header row starts with an empty cell
+    return 0, {"": (("", *matrix.labels), values, dict.fromkeys(matrix.labels, args.digits))}
 
 
 def _pca_rows(args) -> Outputs:
@@ -251,30 +249,29 @@ def _pca_rows(args) -> Outputs:
         list(result.assignment),
         {k: round_away(v, 6) for k, v in result.attributed_shares.items()},
     )
-    return 0, {"": (columns, [report])}
+    return 0, {"": (columns, zip(report), {})}
 
 
 def _ks_rows(args) -> Outputs:
-    fmt, rows = _formatter(args.digits), []
+    rows = []
     for name, col in component_columns(_fixture(args)).items():
         sample = [v for v in col if v is not None]
-        res = stats.ks_normality(sample, alpha=args.alpha, lilliefors=args.lilliefors)
-        cells = _cells(res, ("statistic", "critical_value"), fmt)
-        rows.append((name, res.sample_size, *cells, res.alpha, res.reject))
+        ks = stats.ks_normality(sample, alpha=args.alpha, lilliefors=args.lilliefors)
+        rows.append((name, ks.sample_size, ks.statistic, ks.critical_value, ks.alpha, ks.reject))
     columns = ("component", "n", "statistic", "critical_value", "alpha", "reject_normality")
-    return 0, {"": (columns, rows)}
+    return 0, {"": (columns, zip(*rows), dict.fromkeys(columns[2:4], args.digits))}
 
 
 def _hist_rows(args) -> Outputs:
-    coverages = ("coverage_1s", "coverage_2s", "coverage_3s")
-    fmt, pct, rows = _formatter(args.digits), _formatter(2), []
+    coverages, rows = ("coverage_1s", "coverage_2s", "coverage_3s"), []
     for name, col in component_columns(_fixture(args)).items():
         h = stats.histogram_by_sd([v for v in col if v is not None])
-        n, dropped = h.sample_size, len(col) - h.sample_size
-        mean_sd, shares = _cells(h, ("mean", "sd"), fmt), _cells(h, coverages, pct)
-        rows.append((name, n, dropped, *mean_sd, *h.bin_counts, *shares))
+        n, shares = h.sample_size, (h.coverage_1s, h.coverage_2s, h.coverage_3s)
+        rows.append((name, n, len(col) - n, h.mean, h.sd, *h.bin_counts, *shares))
     bins = tuple(f"bin{i}" for i in range(8))  # the 8 sd bands of histogram_by_sd
-    return 0, {"": (("component", "n", "dropped", "mean", "sd", *bins, *coverages), rows)}
+    columns = ("component", "n", "dropped", "mean", "sd", *bins, *coverages)
+    digits = {"mean": args.digits, "sd": args.digits, **dict.fromkeys(coverages, 2)}
+    return 0, {"": (columns, zip(*rows), digits)}
 
 
 def _cluster_rows(args) -> Outputs:
@@ -282,13 +279,10 @@ def _cluster_rows(args) -> Outputs:
     vectors = list(zip(*component_columns(complete).values()))
     dendrogram = stats.ward_cluster([r.code for r in complete], vectors)
     # each merge's fields, the height shown at 6 digits
-    columns = ("left", "right", "height", "new_id", "size")
-    fmt = _formatter(6)
-    rows = [(m.left, m.right, fmt(m.height), m.new_id, m.size) for m in dendrogram.merges]
-    outputs = {"": (columns, rows)}
+    outputs = {"": (stats.Merge._fields, zip(*dendrogram.merges), {"height": 6})}
     if args.k is not None or args.height is not None:
         cut = stats.cut_dendrogram(dendrogram, k=args.k, height=args.height)
-        outputs[".clusters"] = (("label", "cluster"), sorted(cut.items()))
+        outputs[".clusters"] = (("label", "cluster"), zip(*sorted(cut.items())), {})
     return 0, outputs
 
 
@@ -305,7 +299,8 @@ def _check(key: tuple, got: float, want: float, tolerance: float, digits: tuple[
 
 def _checked(columns: tuple[str, ...], rows: list[tuple]) -> Outputs:
     """The exit code and output of rows whose last cell is their status."""
-    return (DATA_ERROR if any(r[-1] == "MISMATCH" for r in rows) else 0), {"": (columns, rows)}
+    code = DATA_ERROR if any(r[-1] == "MISMATCH" for r in rows) else 0
+    return code, {"": (columns, zip(*rows), {})}
 
 
 def _table1_rows(args) -> Outputs:
@@ -460,7 +455,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     written = []
     try:
         code, outputs = args.run.rows(args)
-        for suffix, (columns, rows) in outputs.items():
+        for suffix, (columns, values, digits) in outputs.items():
+            # each cell of a formatted column is formatted as the writer reads its row
+            rows = zip(*(map(_formatter(digits[c]), v) if c in digits else v
+                         for c, v in zip(columns, values)))
             if args.out is None:
                 try:
                     ingest.emit_report(columns, rows, args.format, sys.stdout)

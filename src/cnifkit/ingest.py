@@ -7,7 +7,7 @@ import json
 import math
 import sys
 from collections import defaultdict
-from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .core_model import COUNT_FIELDS, COUNT_LIMIT, FIELDS, Dataset, Edition
 
@@ -269,8 +269,9 @@ def emit_journals_csv(dataset: Dataset, stream: IO[str]) -> None:
     writer.writerows(zip(c["id"], c["name"], codes, *(c[name] for name in COUNT_FIELDS)))
 
 
-def emit_report(columns: Sequence[str], rows: Sequence[tuple], fmt: str, stream: IO[str]) -> None:
-    """Write report rows, each aligned with ``columns``, as CSV or JSON.
+def emit_report(columns: Sequence[str], rows: Iterable[tuple], fmt: str, stream: IO[str]) -> None:
+    """Write report rows, each aligned with ``columns``, as CSV or JSON.  The
+    rows may be any iterable, such as a generator; it is read once.
 
     CSV is the header line, then one line per row; ``None`` is an empty cell.
     JSON is exactly ``json.dump([dict(zip(columns, row)) for row in rows],

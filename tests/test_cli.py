@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnifkit.cli import COMMANDS, _formatter, main, round_away
+from cnifkit.cli import COMMANDS, _formatter, main, parse_args, round_away
 from cnifkit.reference import TABLE4_DIVERGENT_CELLS, bundled_fixture_path
 from test_cli_golden import journal_csv
 
@@ -401,6 +401,20 @@ class TestCommands:
         # category A: (46+19)/(12+9+11+10) = 65/42
         assert float(by_cat["A"][2]) == pytest.approx(65 / 42, abs=5e-4)
 
+    def test_indicators_writes_undefined_cells_empty(self, tmp_path):
+        # Z's only journal has no target-window items and no reference counts,
+        # so Z's AIF and all five components are undefined
+        path = tmp_path / "zero.csv"
+        path.write_text(SAMPLE + "z1,Zero window,Z,5,0,0,0,,,\n")
+        out = tmp_path / "ind"
+        assert main(["indicators", "--input", str(path), "--out", str(out)]) == 0
+        assert "Z,1,,,,,,,1" in out.read_text().splitlines()
+        argv = ["indicators", "--input", str(path), "--format", "json", "--out", str(out)]
+        assert main(argv) == 0
+        row = next(r for r in json.loads(out.read_text()) if r["category"] == "Z")
+        undefined = dict.fromkeys(["aif", "a", "r", "p", "w", "b"], "")
+        assert row == {"category": "Z", "journals": 1, **undefined, "reference_exclusions": 1}
+
     def test_cnif_preserves_if_order_within_category(self, sample_csv, tmp_path):
         out = tmp_path / "c.json"
         assert main(["cnif", "--input", sample_csv, "--format", "json", "--out", str(out)]) == 0
@@ -684,3 +698,32 @@ class TestNumpyOffJournalPath:
     def test_stats_commands_load_numpy(self, command, tmp_path):
         probe = run_numpy_probe("allow", [command + ["--out", str(tmp_path / "out")]])
         assert probe == {"codes": [0], "numpy_loaded": [False, True]}
+
+
+# extra argv per command, so that every output of every row function is built
+CONTRACT_ARGVS = {
+    "decompose": [[], ["--input", "{input}"]],
+    "stats corr": [[], ["--format", "json"]],
+    "stats cluster": [["--k", "3"]],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c.name)
+def test_formatted_columns_hold_numbers_or_none(command, tmp_path):
+    """The writer formats a column at fixed decimals only where the row
+    function returns a number or None (undefined) in every cell of it."""
+    path = tmp_path / "journals.csv"
+    zero = "z1,Zero window,Z,5,0,0,0,,,\n"  # category Z is undefined, which only indicators takes
+    path.write_text(SAMPLE + (zero if command.name == "indicators" else ""))
+    default = [["--input", "{input}"]] if command.source == "--input" else [[]]
+    for extra in CONTRACT_ARGVS.get(command.name, default):
+        args = parse_args(command.name.split() + [a.format(input=path) for a in extra])
+        _, outputs = command.rows(args)
+        for columns, values, digits in outputs.values():
+            assert set(digits) <= set(columns)
+            for name, cells in zip(columns, map(list, values)):
+                if name in digits:
+                    assert cells and all(
+                        x is None or isinstance(x, (int, float)) and not isinstance(x, bool)
+                        for x in cells
+                    ), (name, cells)

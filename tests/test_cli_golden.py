@@ -6,12 +6,16 @@ runs twice: once with ``--out``, checking the exit code and the digest of the
 output and of its side file, and once to stdout, which must carry the same
 bytes in the same order.
 """
+import csv
 import hashlib
+import io
+import json
 import random
 
 import pytest
 
-from cnifkit.cli import main
+from cnifkit import stats
+from cnifkit.cli import _bundled_rows, component_columns, main, round_away
 
 HEADER = "id,name,categories,items_t,items_t1,items_t2,cited_in_window,refs_total,refs_jcr,refs_jcr_in_window"
 
@@ -77,7 +81,28 @@ def _fixture_cases():
     yield "stats-cluster-height", ["stats", "cluster", "--edition", "science", "--height", "40"], 0
 
 
-CASES = {name: (argv, code) for name, argv, code in (*_input_cases(), *_fixture_cases())}
+def _digits_cases():
+    """Every command that takes --digits, at its smallest and largest value.
+    ``stats corr --digits 17`` is left out: its last bits depend on the BLAS
+    kernel, so ``test_stats_corr_digits17_formats_the_raw_matrix`` checks it."""
+    commands = (["indicators"], ["decompose"], ["cnif"], ["rank", "--scorer", "if"],
+                ["rank", "--scorer", "cnif"], ["gap"])
+    argvs = [(c, c + ["--input", "{good}"]) for c in commands]
+    argvs += [(["fixture", "decompose"], ["decompose"])]
+    argvs += [(["stats", c], ["stats", c]) for c in ("corr", "ks", "hist")]
+    for digits in ("0", "17"):
+        for fmt in ("csv", "json"):
+            for words, argv in argvs:
+                if words == ["stats", "corr"] and digits == "17":
+                    continue
+                name = "-".join(w for w in words if not w.startswith("--"))
+                yield f"digits{digits}-{name}-{fmt}", argv + ["--digits", digits, "--format", fmt], 0
+
+
+CASES = {
+    name: (argv, code)
+    for name, argv, code in (*_input_cases(), *_fixture_cases(), *_digits_cases())
+}
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +166,124 @@ EXPECTED = {
     },
     "decompose-social": {
         "": "aa52424873f8a0faeb7e9377ee83005033b10a9830c1afc05b1b2772c7806c25",
+    },
+    "digits0-cnif-csv": {
+        "": "93040aa653116b2e3fdd3436a70ea024d5854716edd16ea2fc290bfeb67a2f71",
+    },
+    "digits0-cnif-json": {
+        "": "1d62d8d6421a32eed90fece12456fe2b59aad4618280b6e5e7e51d683ddcf05e",
+    },
+    "digits0-decompose-csv": {
+        "": "6899f2aca5e9ae32df0f3a4d421d63bc9d254f61e25c1a11da834256543a1bd8",
+    },
+    "digits0-decompose-json": {
+        "": "5da9d6478c7a8bf6d9dfdcfc4246b8897a1dc00e381bce429f536d75f88096ca",
+    },
+    "digits0-fixture-decompose-csv": {
+        "": "488ab1605f8fce0411ffb7a4478bc37da34c973fe51b2b59d3ff06761b238d8f",
+    },
+    "digits0-fixture-decompose-json": {
+        "": "4c053d129276911e818db657840d5fe485ac16fc6e8d8091d28f0abe6074b960",
+    },
+    "digits0-gap-csv": {
+        "": "1497b144c85cbe56f021cbc8f05d9ffbde09e77526a7be2a0b8c897cc69cf353",
+        ".summary": "4a6b77ee50c919b26011a20feeb1a0ca2bb4da7c62b251c8d4052ef68595e558",
+    },
+    "digits0-gap-json": {
+        "": "19d16dba99996c1a4c650b844007e260626d4d16b19e633b3b4085aa64277d0d",
+        ".summary": "e2826c51a191adb7c236f5851b0aedbe2cecf77b4d528cb7f50f34264862552d",
+    },
+    "digits0-indicators-csv": {
+        "": "1afd4781fcd1224112aaf8047c1401c90963f1cb53d7dc90c093aab79286f7b6",
+    },
+    "digits0-indicators-json": {
+        "": "58bf5b3f80cd5e5b013884ce70bfdd6bab0615e0d1e0dc99db011054d3ae9525",
+    },
+    "digits0-rank-cnif-csv": {
+        "": "2672436b32dced9557c645794cd5a47b6ebb1b2d4fc1f5bd758b6eeb8d365fa8",
+    },
+    "digits0-rank-cnif-json": {
+        "": "3af4c77ea42a2f49dc6acef351a3fe5e4bf537a10759e9448f10e377375fb10e",
+    },
+    "digits0-rank-if-csv": {
+        "": "6dd6641260b651ebb75ac2b49a4ffe6fcdc90941d4de42729e25cd16477eb377",
+    },
+    "digits0-rank-if-json": {
+        "": "903e6da694012776c2d568bc51e1d707d639aec8ff81136cb6cb545e865b5fd3",
+    },
+    "digits0-stats-corr-csv": {
+        "": "e7dc12b8be3dcde5214857ef12c76c6779d85ba781a27cd204437eb39148aefc",
+    },
+    "digits0-stats-corr-json": {
+        "": "a302886fcd61cf8e092350a01bfdf0af3faef4ea3767bad4a5abdc72f9238328",
+    },
+    "digits0-stats-hist-csv": {
+        "": "5d57b970c556a3f6b851cbacaf39b25b7f5ef4192321ee7777ecc292a096fba8",
+    },
+    "digits0-stats-hist-json": {
+        "": "8c830121bb2d604521ee9ec630e2b615484d91c6a4df2da3657014776f29dac3",
+    },
+    "digits0-stats-ks-csv": {
+        "": "6b735f5549d42d1fc43aad3115048e4eb5ec7435c3520cf7a7791f45fde33cb6",
+    },
+    "digits0-stats-ks-json": {
+        "": "796141f52442817ed12007370efe5f6efb66afc789dde5879ebe06b9b2dd30b5",
+    },
+    "digits17-cnif-csv": {
+        "": "d2b749bfd019ce36e28f97aec808cabdedb06c1723c55cef3063890e836b9872",
+    },
+    "digits17-cnif-json": {
+        "": "12ed35dcead0436d41fd29a2f18027f977d52d1791ddc2659b77b70f92b54722",
+    },
+    "digits17-decompose-csv": {
+        "": "3dac92ac4bb856a0b3308fd00c295615d7ed9e82d272770f1c353a38ef2c2b10",
+    },
+    "digits17-decompose-json": {
+        "": "236ff907d9e05908699d82ce04c862e934432cf7fd1a3ea308998512d0e2df1f",
+    },
+    "digits17-fixture-decompose-csv": {
+        "": "a35d6f2dfbd6452be170daaf177c93a5881e7071e2072ad24b7a054046368b71",
+    },
+    "digits17-fixture-decompose-json": {
+        "": "cd4f34da042211c1be7319f87f38c6aae8ff521633569867654b73f150238b41",
+    },
+    "digits17-gap-csv": {
+        "": "36fa95fc67feadc557463e05b228f583f287ed58930f0c306f7fe2916dbab3e6",
+        ".summary": "c81a749a677bc039751e755309316767922cfbd69fcb64e05144bc412a19f1c3",
+    },
+    "digits17-gap-json": {
+        "": "2c1c2d800c2fe28882065c4196c64e201056f59beb35b30e378d7cc58facf2cc",
+        ".summary": "a76a63694f9b884a939770c5f8fb35db7475e4a2e3a7c6ec85e7df1c47a93a14",
+    },
+    "digits17-indicators-csv": {
+        "": "6e4beb5c07e504d32f144effb473097547781032113a788c256759190a8d188b",
+    },
+    "digits17-indicators-json": {
+        "": "1e8b66ee90f97f8461596b6798f9ef6bcbce32513a5bd9a2cd3f9df6ed31c4b5",
+    },
+    "digits17-rank-cnif-csv": {
+        "": "9a474be60afd19a409e5f0cb667317dd73c0116e5239f10a3c8c5bf622bf2183",
+    },
+    "digits17-rank-cnif-json": {
+        "": "8a123b1fa6f9b8b6db56b1c0224a0fb01be5e63f09a9e08dfbe6d13e794d3146",
+    },
+    "digits17-rank-if-csv": {
+        "": "909f0dcc98c89f2140fc7ab74becf5078334b98fab454fc62e86b30116bbe440",
+    },
+    "digits17-rank-if-json": {
+        "": "52ae513757153f47ddacf1dd5c5b899e566a00fc28a8482e44022f89f46ba8ca",
+    },
+    "digits17-stats-hist-csv": {
+        "": "bd4b601eee4d94007305a61dc75814634ce086c5db21819cebd0ccb335aae636",
+    },
+    "digits17-stats-hist-json": {
+        "": "349ac56ef62b549bc4d06e9f9f2852c201492676785fc66eff5a484c8a0d4047",
+    },
+    "digits17-stats-ks-csv": {
+        "": "a20f7484f67e2a1fdbc4723774b530e05e2d36676befecf2800fb0ac2a08d03c",
+    },
+    "digits17-stats-ks-json": {
+        "": "9e57977c6d8ad036973ace51658cf0fa9b20bd5f34a3b7c81b9a9f3dd59bf83c",
     },
     "gap-csv": {
         "": "2fbfd823e21a138b73cfbfbf6d88ef14ffbe00a1841165964ad71f6e478d460f",
@@ -311,3 +454,22 @@ def test_stats_pca_csv_is_usage_error(tmp_path, capsys):
     assert main(["stats", "pca", "--edition", "science", "--format", "csv", "--out", str(out)]) == 2
     assert "invalid choice: 'csv'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stats_corr_digits17_formats_the_raw_matrix(fmt, capsys):
+    # the raw correlations' last bits depend on the BLAS kernel, so no digest
+    # pins them: the output must be the raw matrix, rounded half away from zero
+    matrix = stats.correlation_matrix(component_columns(_bundled_rows()))
+    labels = matrix.labels
+    rows = [(lab, [round_away(v, 17) for v in row]) for lab, row in zip(labels, matrix.values.tolist())]
+    buf = io.StringIO()
+    if fmt == "json":
+        json.dump([{"variable": lab, **dict(zip(labels, row))} for lab, row in rows], buf, indent=2)
+        buf.write("\n")
+    else:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["", *labels])
+        writer.writerows([lab, *(f"{v:.17f}" for v in row)] for lab, row in rows)
+    assert main(["stats", "corr", "--digits", "17", "--format", fmt]) == 0
+    assert capsys.readouterr().out == buf.getvalue()
