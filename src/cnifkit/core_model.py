@@ -242,8 +242,23 @@ class Violation(NamedTuple):
     rule: str
 
 
+def reference_breaks(refs_total, refs_jcr, refs_jcr_in_window) -> tuple[str, ...]:
+    """The two cross-field reference rules a journal's counts break, in rule
+    order: ``refs_jcr`` at most ``refs_total``, ``refs_jcr_in_window`` at
+    most ``refs_jcr``.  An absent count breaks neither rule it appears in."""
+    if refs_jcr is None:
+        return ()
+    broken = ()
+    if refs_total is not None and refs_jcr > refs_total:
+        broken = ("refs_jcr exceeds refs_total",)
+    if refs_jcr_in_window is not None and refs_jcr_in_window > refs_jcr:
+        broken += ("refs_jcr_in_window exceeds refs_jcr",)
+    return broken
+
+
 def validate(dataset: Dataset) -> list[Violation]:
-    """Collect every break of the two cross-field reference rules, row by row.
+    """Collect every break of the two cross-field reference rules, row by
+    row, as ``reference_breaks`` states them.
 
     Violations are data, not failures: an empty list means the dataset is
     well formed.  A record's own rules are ``JournalRecord``'s, so no dataset
@@ -253,8 +268,6 @@ def validate(dataset: Dataset) -> list[Violation]:
     report: list[Violation] = []
     c = dataset.columns
     for jid, rt, rj, rjw in zip(c["id"], c["refs_total"], c["refs_jcr"], c["refs_jcr_in_window"]):
-        if rt is not None and rj is not None and rj > rt:
-            report.append(Violation(jid, "refs_jcr exceeds refs_total"))
-        if rj is not None and rjw is not None and rjw > rj:
-            report.append(Violation(jid, "refs_jcr_in_window exceeds refs_jcr"))
+        for rule in reference_breaks(rt, rj, rjw):
+            report.append(Violation(jid, rule))
     return report

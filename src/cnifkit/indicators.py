@@ -100,23 +100,24 @@ def components(agg: CategoryAggregate) -> ComponentVector:
         raise UndefinedIndicatorError(f"category {agg.code}: zero item total blocks component a")
     if agg.a_t == 0:
         raise UndefinedIndicatorError(f"category {agg.code}: zero census items block component r")
-    if agg.refs_total == 0:
-        raise UndefinedIndicatorError(f"category {agg.code}: zero references block component p")
-    if agg.refs_jcr == 0:
+    a, r = agg.a_t / agg.items_window, agg.refs_total / agg.a_t
+    return ComponentVector(a, r, *fixture_reference_components(agg))
+
+
+def fixture_reference_components(row) -> tuple[float, float, float]:
+    """(p, w, b) exactly from the four reference counts of a fixture row or a
+    ``CategoryAggregate``, which name them alike."""
+    if row.refs_total == 0:
+        raise UndefinedIndicatorError(f"category {row.code}: zero references block component p")
+    if row.refs_jcr == 0:
         raise UndefinedIndicatorError(
-            f"category {agg.code}: zero indexed references block component w"
+            f"category {row.code}: zero indexed references block component w"
         )
-    if agg.nciting == 0:
+    if row.nciting == 0:
         raise UndefinedIndicatorError(
-            f"category {agg.code}: zero in-window references block component b"
+            f"category {row.code}: zero in-window references block component b"
         )
-    return ComponentVector(
-        a=agg.a_t / agg.items_window,
-        r=agg.refs_total / agg.a_t,
-        p=agg.refs_jcr / agg.refs_total,
-        w=agg.nciting / agg.refs_jcr,
-        b=agg.ncited / agg.nciting,
-    )
+    return row.refs_jcr / row.refs_total, row.nciting / row.refs_jcr, row.ncited / row.nciting
 
 
 def growth_ratio_from_rate(g: float) -> float:
@@ -269,18 +270,3 @@ def cnif_terms(
             # score = (jcr cited / jcr items) / (union cited / union items), cnif = score * IF
             num, den = jcr_cited * union_items, jcr_items * union_cited
             yield if_value, meta_aif, jcr_aif, num / den, num * cited / (den * items)
-
-
-def fixture_reference_components(row) -> tuple[float, float, float]:
-    """Recompute (p, w, b) exactly from a fixture row's raw counts."""
-    if row.refs_total == 0:
-        raise UndefinedIndicatorError(f"{row.code}: zero references block p")
-    if row.refs_jcr == 0:
-        raise UndefinedIndicatorError(f"{row.code}: zero indexed references block w")
-    if row.nciting == 0:
-        raise UndefinedIndicatorError(f"{row.code}: zero in-window references block b")
-    return (
-        row.refs_jcr / row.refs_total,
-        row.nciting / row.refs_jcr,
-        row.ncited / row.nciting,
-    )

@@ -9,7 +9,7 @@ import sys
 from collections import defaultdict
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
-from .core_model import COUNT_FIELDS, COUNT_LIMIT, FIELDS, Dataset, Edition
+from .core_model import COUNT_FIELDS, COUNT_LIMIT, FIELDS, Dataset, Edition, reference_breaks
 
 JOURNAL_HEADER = list(FIELDS)
 
@@ -127,10 +127,12 @@ def parse_journals_csv(stream: IO[str], strict: bool = True) -> Dataset:
 
     One streaming pass checks each record as it is read and raises a
     structural error at once.  It also finds the first record that breaks one
-    of ``validate``'s two cross-field rules.  A ``strict`` parse raises that
-    break after the last row, so structural errors anywhere come first; a
-    lenient one keeps it as ``(line, message)`` in the dataset's
-    ``_cache["break"]``, which is absent when no record breaks a rule.
+    of the two cross-field rules, asking ``core_model.reference_breaks`` as
+    ``validate`` does, and keeps the first rule that record breaks.  A
+    ``strict`` parse raises that break after the last row, so structural
+    errors anywhere come first; a lenient one keeps it as ``(line, message)``
+    in the dataset's ``_cache["break"]``, which is absent when no record
+    breaks a rule.
     """
     values: list = []
     members: defaultdict[str, list[int]] = defaultdict(list)
@@ -172,11 +174,8 @@ def parse_journals_csv(stream: IO[str], strict: bool = True) -> Dataset:
             for i, value in enumerate(row[3:], start=3):
                 if value or i < 7:  # the three refs_* columns may be empty
                     _parse_count(value, JOURNAL_HEADER[i], line)
-        if violation is None and rj is not None:
-            if rt is not None and rj > rt:
-                violation = line, f"journal {jid}: refs_jcr exceeds refs_total"
-            elif rjw is not None and rjw > rj:
-                violation = line, f"journal {jid}: refs_jcr_in_window exceeds refs_jcr"
+        if violation is None and (broken := reference_breaks(rt, rj, rjw)):
+            violation = line, f"journal {jid}: {broken[0]}"
         values += jid, name, codes, t, t1, t2, cited, rt, rj, rjw
         for code in codes:
             members[code].append(row_index)

@@ -248,6 +248,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["decompose"], ["reproduce-table1"]])
+    def test_fixture_row_with_zero_references_is_data_error(self, command, tmp_path, capsys):
+        # p, w and b of a fixture row and of a category aggregate share one check
+        header = Path(bundled_fixture_path()).read_text(encoding="utf-8").splitlines()[0]
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_text(f"{header}\nX,Zero references,science,0,0,0,0{',-' * 6}\n")
+        out = tmp_path / "out.csv"
+        assert main(command + ["--fixture", str(fixture), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: category X: zero references block component p\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["validate"], ["cnif"], ["indicators"], ["gap"]])
     def test_count_of_2_63_or_more_is_usage_error(self, command, tmp_path, capsys):
         # a 400-digit count once passed validate and overflowed IF and AIF

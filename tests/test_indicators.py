@@ -14,12 +14,13 @@ from cnifkit.core_model import (
     COUNT_LIMIT,
     CategoryAggregate,
     ComponentVector,
+    Edition,
     JournalRecord,
     UndefinedIndicatorError,
 )
 from cnifkit import indicators
 from cnifkit.cli import main
-from cnifkit.ingest import emit_journals_csv
+from cnifkit.ingest import CategoryFixtureRow, emit_journals_csv
 from cnifkit.ranking import rank_category
 from cnifkit.indicators import (
     aggregate_impact_factor,
@@ -243,6 +244,31 @@ class TestComponents:
         a = agg(a_t=10, a_t1=5, a_t2=5, ncited=9, refs_total=200, refs_jcr=100, nciting=10)
         cv = components(a)
         assert cv == ComponentVector(a=1.0, r=20.0, p=0.5, w=0.1, b=0.9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fixture_row_and_aggregate_share_p_w_and_b(self, data):
+        # counts as a valid dataset sums them: refs_jcr <= refs_total and
+        # nciting (the in-window references) <= refs_jcr, zeros included
+        count = st.one_of(st.just(0), st.integers(0, COUNT_LIMIT - 1))
+        refs_total = data.draw(count)
+        refs_jcr = data.draw(st.one_of(st.just(0), st.integers(0, refs_total)))
+        nciting = data.draw(st.one_of(st.just(0), st.integers(0, refs_jcr)))
+        ncited = data.draw(count)
+        counts = dict(refs_total=refs_total, refs_jcr=refs_jcr, ncited=ncited, nciting=nciting)
+        row = CategoryFixtureRow("X", "X", Edition.SCIENCE, **counts)
+        a = agg(a_t=1, a_t1=1, **counts)
+        if 0 in (refs_total, refs_jcr, nciting):
+            with pytest.raises(UndefinedIndicatorError) as from_row:
+                fixture_reference_components(row)
+            with pytest.raises(UndefinedIndicatorError) as from_agg:
+                components(a)
+            component = "p" if refs_total == 0 else "w" if refs_jcr == 0 else "b"
+            assert str(from_row.value) == str(from_agg.value)
+            assert str(from_agg.value).endswith(f"block component {component}")
+        else:
+            bits = [x.hex() for x in fixture_reference_components(row)]
+            assert bits == [x.hex() for x in components(a)[2:]]
 
 
 class TestGrowthRatio:

@@ -3,9 +3,10 @@
 ``oracle_parse_journals_csv`` is the earlier parser, kept as the reference
 with one rule added (a count of 2**63 or more is a ParseError): it reads
 every row first, builds one ``JournalRecord`` per row, converts each count
-through ``_parse_count`` and, in strict mode, runs ``validate`` over the
-parsed dataset.  On input without embedded newlines the streaming parser must give
-an equal dataset, or the same first ParseError line and message.
+through ``_parse_count`` and, in strict mode, walks the records with
+``conftest.oracle_validate``, not the package's own rule function.  On input
+without embedded newlines the streaming parser must give an equal dataset,
+or the same first ParseError line and message.
 
 ``oracle_utf8_error`` is the rule ``read_csv`` once used to place a byte that
 is not UTF-8: decode the whole file again and count the "\n" before it.  The
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnifkit.cli import main
-from cnifkit.core_model import Dataset, JournalRecord, validate
+from cnifkit.core_model import Dataset, JournalRecord
 from cnifkit.ingest import (
     JOURNAL_HEADER,
     ParseError,
@@ -32,6 +33,8 @@ from cnifkit.ingest import (
     parse_journals_csv,
 )
 from cnifkit.reference import bundled_fixture_path
+
+from conftest import oracle_validate
 
 HEADER = ",".join(JOURNAL_HEADER)
 
@@ -93,7 +96,7 @@ def oracle_parse_journals_csv(stream, strict: bool = True) -> Dataset:
         )
     dataset = Dataset(tuple(journals))
     if strict:
-        bad = validate(dataset)
+        bad = oracle_validate(journals)
         if bad:
             first = bad[0]
             line = 2 + next(i for i, j in enumerate(journals) if j.id == first.record_id)

@@ -16,6 +16,7 @@ import pytest
 
 from cnifkit import cli, indicators, ingest, ranking
 from cnifkit.cli import main
+from cnifkit.core_model import Violation, validate
 
 HEADER = "id,name,categories,items_t,items_t1,items_t2,cited_in_window,refs_total,refs_jcr,refs_jcr_in_window"
 ROWS = [
@@ -287,6 +288,26 @@ def test_strict_commands_after_validate_keep_the_line_error(tmp_path, capsys):
         assert err == "error: line 4: journal bad: refs_jcr exceeds refs_total\n"
         assert not out.exists()
     assert main(["validate", "--input", path]) == 1
+
+
+def test_row_breaking_both_reference_rules_is_kept_by_its_first_rule(tmp_path, capsys):
+    rows = ROWS[:1] + ["J,Both,A,1,1,1,1,10,20,30"] + ROWS[1:]  # line 3 breaks both rules
+    path = write_csv(tmp_path / "journals.csv", rows)
+    dataset = ingest.read_csv(path, ingest.parse_journals_csv, strict=False)
+    assert validate(dataset) == [
+        Violation("J", "refs_jcr exceeds refs_total"),
+        Violation("J", "refs_jcr_in_window exceeds refs_jcr"),
+    ]
+    assert dataset._cache["break"] == (3, "journal J: refs_jcr exceeds refs_total")
+    for command in COMMANDS[1:]:  # every strict one, parsing afresh and from the kept parse
+        for fresh in (True, False):
+            if fresh:
+                cli._parsed.clear()
+            out = tmp_path / "out.csv"
+            assert main(command + ["--input", path, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: line 3: journal J: refs_jcr exceeds refs_total\n"
+            assert not out.exists()
 
 
 @pytest.mark.parametrize(
