@@ -188,12 +188,10 @@ def pca_of(corr: Matrix) -> PcaResult:
     eig = symmetric_eigendecomposition(corr)
     labels = corr.labels
     assigned: list[str] = []
-    taken: set[int] = set()
-    for k in range(len(labels)):
-        loadings = np.abs(eig.eigenvectors[:, k])
-        candidates = [i for i in range(len(labels)) if i not in taken]
-        best = max(candidates, key=lambda i: (loadings[i], -i))
-        taken.add(best)
+    remaining = list(range(len(labels)))  # the variables not yet credited, in order
+    for loadings in np.abs(eig.eigenvectors).T:
+        best = max(remaining, key=lambda i: (loadings[i], -i))
+        remaining.remove(best)
         assigned.append(labels[best])
     shares = {lab: 0.0 for lab in labels}
     for k, lab in enumerate(assigned):
@@ -298,7 +296,8 @@ def ward_cluster(
 def cut_dendrogram(
     dendrogram: Dendrogram, k: Optional[int] = None, height: Optional[float] = None
 ) -> dict[str, int]:
-    """Partition the leaves into k clusters, or by a merge-height threshold."""
+    """Partition the leaves into k clusters, or by the leading merges at or
+    below a height; clusters are numbered by their first leaf."""
     n = len(dendrogram.leaf_labels)
     if (k is None) == (height is None):
         raise ValueError("give exactly one of k or height")
@@ -307,25 +306,15 @@ def cut_dendrogram(
             raise ValueError(f"k must lie in [1, {n}], got {clip(k)}")
         applied = dendrogram.merges[: n - k]
     else:
-        applied = tuple(m for m in dendrogram.merges if m.height <= height)
-    parent: dict[int, int] = {}
-
-    def find(i: int) -> int:
-        while i in parent:
-            i = parent[i]
-        return i
-
+        applied = itertools.takewhile(lambda m: m.height <= height, dendrogram.merges)
+    clusters = {i: [i] for i in range(n)}  # cluster id -> its leaves
     for m in applied:
-        parent[m.left] = m.new_id
-        parent[m.right] = m.new_id
-    roots: dict[int, int] = {}
-    out = {}
-    for i, label in enumerate(dendrogram.leaf_labels):
-        r = find(i)
-        if r not in roots:
-            roots[r] = len(roots)
-        out[label] = roots[r]
-    return out
+        clusters[m.new_id] = clusters.pop(m.left) + clusters.pop(m.right)
+    number = [0] * n
+    for c, leaves in enumerate(sorted(clusters.values(), key=min)):
+        for i in leaves:
+            number[i] = c
+    return dict(zip(dendrogram.leaf_labels, number))
 
 
 def _normal_cdf(x: float) -> float:

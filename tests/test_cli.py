@@ -259,6 +259,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: category X: zero references block component p\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            ("0,12,11", "zero census items block component r"),
+            ("10,0,0", "zero item total blocks component a"),
+        ],
+        ids=["census", "window"],
+    )
+    def test_category_with_zero_items_is_data_error(self, items, message, tmp_path, capsys):
+        path = tmp_path / "journals.csv"
+        path.write_text(f"{HEADER}\nj1,Alpha,S1,{items},46,400,300,60\nj2,Beta,S2,8,9,10,19,350,280,40\n")
+        out = tmp_path / "out.csv"
+        assert main(["decompose", "--input", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: category S1: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["validate"], ["cnif"], ["indicators"], ["gap"]])
     def test_count_of_2_63_or_more_is_usage_error(self, command, tmp_path, capsys):
         # a 400-digit count once passed validate and overflowed IF and AIF
@@ -313,6 +329,12 @@ class TestExitCodes:
         assert f"error: argument --alpha: {rule}" in capsys.readouterr().err
         assert not out.exists()
         assert main(["stats", "ks", "--alpha", "1e-323", "--out", str(out)]) == 0
+
+    def test_lilliefors_alpha_without_coefficient_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "k.csv"
+        assert main(["stats", "ks", "--lilliefors", "--alpha", "0.2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: no Lilliefors coefficient for alpha=0.2\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("height", ["nan", "NaN", "x"])
     def test_nan_height_is_usage_error(self, height, tmp_path, capsys):
@@ -561,6 +583,16 @@ class TestReproduction:
         out = tmp_path / "t1.csv"
         assert main(["reproduce-table1", "--out", str(out)]) == 0
         assert "0 mismatches / 230 rows" in out.read_text()
+
+    def test_table1_marks_an_absent_printed_share(self, tmp_path):
+        # the bundled table prints every p, w and b; S2's p printed as "-" here
+        lines = Path(bundled_fixture_path()).read_text(encoding="utf-8").splitlines()[:3]
+        assert lines[2].startswith("S2,") and ",38.94,0.59," in lines[2]
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_text("\n".join([*lines[:2], lines[2].replace(",38.94,0.59,", ",38.94,-,")]) + "\n")
+        out = tmp_path / "t1.csv"
+        assert main(["reproduce-table1", "--fixture", str(fixture), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[2] == "S2,absent,0.22,0.45,ok"
 
     def test_table3_passes(self, tmp_path):
         out = tmp_path / "t3.csv"

@@ -235,10 +235,27 @@ class TestComponents:
         assert w == pytest.approx(12555 / 28124)
         assert round(w, 2) == 0.45
 
-    def test_blocked_component_named(self):
-        a = agg(a_t=10, a_t1=5, a_t2=5, ncited=1, refs_total=10, refs_jcr=0, nciting=0)
-        with pytest.raises(UndefinedIndicatorError, match="component w"):
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            (dict(a_t=10, a_t1=5, a_t2=5), "zero indexed references block component w"),
+            (dict(a_t=10), "zero item total blocks component a"),
+            (dict(a_t1=5, a_t2=5), "zero census items block component r"),
+        ],
+        ids=["w", "a", "r"],
+    )
+    def test_blocked_component_named(self, counts, message):
+        a = agg(ncited=1, refs_total=10, refs_jcr=0, nciting=0, **counts)
+        with pytest.raises(UndefinedIndicatorError) as info:
             components(a)
+        assert str(info.value) == f"category X: {message}"
+
+    def test_indexed_references_above_total_break_p(self):
+        # the API builds a dataset that validate would reject
+        j = make_journal("j", ["X"], 5, 5, 1, items_t=10, refs=(10, 20, 5))
+        with pytest.raises(ValueError) as info:
+            components(category_aggregate(make_dataset([j]), "X"))
+        assert str(info.value) == "component p must lie in [0,1], got 2.0"
 
     def test_full_component_vector(self):
         a = agg(a_t=10, a_t1=5, a_t2=5, ncited=9, refs_total=200, refs_jcr=100, nciting=10)

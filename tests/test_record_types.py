@@ -177,6 +177,10 @@ def test_no_class_is_a_dataclass():
 CHECKED = [
     (RECORDS[0][0], {"items_t": -1}, "journal j1: negative count in items_t: -1"),
     (RECORDS[0][0], {"categories": []}, "journal j1: empty category list"),
+    (RECORDS[1][0], {"a": 0}, "component a must be positive, got 0"),
+    (RECORDS[1][0], {"r": -1.0}, "components r and b must be non-negative"),
+    (RECORDS[1][0], {"b": -1.0}, "components r and b must be non-negative"),
+    (RECORDS[1][0], {"p": 1.5}, "component p must lie in [0,1], got 1.5"),
     (RECORDS[1][0], {"w": 1.5}, "component w must lie in [0,1], got 1.5"),
     (
         ingest.CategoryFixtureRow("S1", "Soc", core_model.Edition.SOCIAL_SCIENCE, 1, 2, 3, 4),

@@ -48,6 +48,10 @@ class TestCorrelation:
         m = correlation_matrix(cols)
         assert m.get("x", "y") == pytest.approx(1.0)
 
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="^columns must have equal length$"):
+            listwise_complete({"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0]})
+
     def test_exact_symmetry_and_unit_diagonal(self):
         rng = random.Random(0)
         cols = {k: [rng.gauss(0, 1) for _ in range(30)] for k in "abcde"}
@@ -211,6 +215,12 @@ class TestPca:
         res = pca_variance_shares(cols)
         for share in res.attributed_shares.values():
             assert share == pytest.approx(0.2, abs=0.05)
+
+    def test_tied_loadings_credit_the_earlier_variable(self):
+        # both eigenvectors of this matrix load 1/sqrt(2) on each variable
+        res = pca_of(Matrix(("x", "y"), np.array([[1.0, 0.5], [0.5, 1.0]])))
+        assert res.assignment == ("x", "y")
+        assert res.attributed_shares == pytest.approx({"x": 0.75, "y": 0.25})
 
     def test_attribution_is_permutation_of_eigen_shares(self, fixture_rows):
         res = pca_variance_shares(component_columns(edition_rows(fixture_rows, "science")))
@@ -644,6 +654,10 @@ class TestWard:
         with pytest.raises(ValueError):
             ward_cluster(["x"], [[1.0]])
 
+    def test_labels_and_vectors_must_align(self):
+        with pytest.raises(ValueError, match="^labels and vectors must align$"):
+            ward_cluster(["x", "y", "z"], [[1.0], [2.0]])
+
     def test_standardization_required_for_scale_balance(self):
         # one huge-scale coordinate dominates unstandardized distances
         labels = ["a", "b", "c", "d"]
@@ -653,7 +667,72 @@ class TestWard:
         assert cut["a"] == cut["c"] and cut["b"] == cut["d"]
 
 
+def union_find_cut(dendrogram, k=None, height=None):
+    """The union-find cut_dendrogram that the leaf-list joins replaced.
+
+    Kept as a differential oracle: a height cut applies every merge at or
+    below the height, wherever it sits, through a parent map, and clusters
+    are numbered in the order their roots first appear in leaf order.
+    """
+    n = len(dendrogram.leaf_labels)
+    if (k is None) == (height is None):
+        raise ValueError("give exactly one of k or height")
+    if k is not None:
+        if not 1 <= k <= n:
+            raise ValueError(f"k must lie in [1, {n}], got {k}")
+        applied = dendrogram.merges[: n - k]
+    else:
+        applied = tuple(m for m in dendrogram.merges if m.height <= height)
+    parent = {}
+
+    def find(i):
+        while i in parent:
+            i = parent[i]
+        return i
+
+    for m in applied:
+        parent[m.left] = m.new_id
+        parent[m.right] = m.new_id
+    roots = {}
+    out = {}
+    for i, label in enumerate(dendrogram.leaf_labels):
+        r = find(i)
+        if r not in roots:
+            roots[r] = len(roots)
+        out[label] = roots[r]
+    return out
+
+
 class TestCut:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_points() | huge_points(), st.booleans())
+    def test_identical_to_union_find(self, case, standardize):
+        # every k, and heights at, just off and between the merge heights
+        labels, points = case
+        try:
+            d = ward_cluster(labels, points, standardize)
+        except ValueError:
+            return
+        heights = [m.height for m in d.merges]
+        probes = {-math.inf, math.inf, math.nan}
+        for h in heights:
+            probes |= {h, math.nextafter(h, -math.inf), math.nextafter(h, math.inf)}
+        probes |= {a / 2 + b / 2 for a, b in zip(heights, heights[1:])}
+        for k in range(1, len(labels) + 1):
+            assert list(cut_dendrogram(d, k=k).items()) == list(union_find_cut(d, k=k).items())
+        for h in probes:
+            got = list(cut_dendrogram(d, height=h).items())
+            assert got == list(union_find_cut(d, height=h).items())
+
+    def test_height_cut_stops_at_first_merge_above(self):
+        # hand-built heights that decrease: the union-find applied the later,
+        # lower merge of c and d too; Ward's heights never decrease
+        merges = (Merge(0, 1, 2.0, 4, 2), Merge(2, 3, 1.0, 5, 2), Merge(4, 5, 3.0, 6, 4))
+        d = Dendrogram(("a", "b", "c", "d"), merges)
+        assert cut_dendrogram(d, height=1.5) == {"a": 0, "b": 1, "c": 2, "d": 3}
+        assert union_find_cut(d, height=1.5) == {"a": 0, "b": 1, "c": 2, "d": 2}
+        assert cut_dendrogram(d, height=2.5) == union_find_cut(d, height=2.5)
+
     def line_dendrogram(self):
         return ward_cluster(["p0", "p1", "p2", "p3"], [[0], [1], [10], [11]], standardize=False)
 
@@ -748,6 +827,11 @@ class TestKs:
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError, match="at least 5"):
             ks_normality([1.0, 2.0, 3.0])
+
+    def test_lilliefors_alpha_without_coefficient_rejected(self):
+        sample = [0.1, 0.9, 0.2, 0.8, 0.5, 0.4]
+        with pytest.raises(ValueError, match=r"^no Lilliefors coefficient for alpha=0\.2$"):
+            ks_normality(sample, alpha=0.2, lilliefors=True)
 
 
 def mask_histogram_by_sd(sample):
