@@ -292,9 +292,9 @@ CHECK_COLUMNS = ("computed", "reference", "status")
 
 
 def _check(key: tuple, got: float, want: float, tolerance: float, digits: tuple[int, int]) -> tuple:
-    """A check row: its key cells, both values at the given digits, and its status."""
+    """A check row: its key cells, both values shown at the given digits, and its status."""
     status = "ok" if abs(got - want) <= tolerance else "MISMATCH"
-    return (*key, f"{got:.{digits[0]}f}", f"{want:.{digits[1]}f}", status)
+    return (*key, _formatter(digits[0])(got), _formatter(digits[1])(want), status)
 
 
 def _checked(columns: tuple[str, ...], rows: list[tuple]) -> Outputs:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class Edition(Enum):
@@ -27,6 +27,43 @@ def clip(value) -> str:
     return text if len(text) <= CLIP_WIDTH else text[: CLIP_WIDTH - 3] + "..."
 
 
+class CheckedTuple(tuple):
+    """A named tuple's base: ``_make``, and so ``_replace``, checks as ``__new__`` does."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+def code_list_break(codes: Sequence[str]) -> Optional[str]:
+    """The first category-code rule ``codes`` breaks, or None: the list is
+    not empty; no code is empty or holds ";" (the CSV's code separator) or a
+    carriage return (which ``csv.writer`` leaves unquoted before Python
+    3.13); no code repeats."""
+    if not codes:
+        return "empty category list"
+    for code in codes:
+        if not code:
+            return "empty category code"
+        if ";" in code:
+            return f"';' in category code {code!r}"
+        if "\r" in code:
+            return f"carriage return in category code {code!r}"
+    return "duplicate category codes" if len(set(codes)) != len(codes) else None
+
+
+def count_break(name: str, value) -> Optional[str]:
+    """The first count rule ``value``, the count in column ``name``, breaks,
+    or None: it is an int, not a bool, not negative and below ``COUNT_LIMIT``."""
+    if type(value) is not int:  # a bool would be written as "True"
+        return f"non-integer count in {name}: {value!r}"
+    if value < 0:
+        return f"negative count in {name}: {value}"
+    return f"count in {name} is 2**63 or more" if value >= COUNT_LIMIT else None
+
+
 class _JournalFields(NamedTuple):
     id: str
     name: str
@@ -40,20 +77,18 @@ class _JournalFields(NamedTuple):
     refs_jcr_in_window: Optional[int] = None
 
 
-class JournalRecord(_JournalFields):
+class JournalRecord(CheckedTuple, _JournalFields):
     """One journal's per-year counts and category memberships, as a named tuple.
 
     ``items_t*`` are citable-item counts in the census year t and the two
     target-window years.  ``cited_in_window`` counts citations received in
     year t to the t-1/t-2 volumes.  The three reference fields are optional:
-    absent means unknown, never zero.  ``categories`` is stored as a tuple.
-    An empty id, an empty category list, an empty code or one holding ";"
-    (the CSV's code separator), a carriage return in the id or a code (which
-    ``csv.writer`` leaves unquoted before Python 3.13), a repeated code, a
-    lone surrogate (which UTF-8 cannot encode) in the id, name or a code, or
-    a count that is negative or ``COUNT_LIMIT`` or more raises
-    ``ValueError``: the parser can produce none of them.  ``_make`` and
-    ``_replace`` check as the constructor does.
+    absent means unknown, never zero.  ``categories``, a list of codes but
+    not one str, is stored as a tuple.  An empty id or one holding a carriage
+    return, codes that break ``code_list_break``, a lone surrogate (which
+    UTF-8 cannot encode) in the id, name or a code, or a present count that
+    breaks ``count_break`` raises ``ValueError``, checked in that order, as
+    ``_make`` and ``_replace`` do: the parser can produce none of them.
     """
 
     __slots__ = ()
@@ -65,36 +100,21 @@ class JournalRecord(_JournalFields):
             raise ValueError("empty journal id")
         if "\r" in jid:
             raise ValueError(f"carriage return in journal id {jid!r}")
+        if isinstance(self.categories, str):  # it would read as one code per character
+            raise ValueError(f"journal {jid}: category list is a str")
         categories = tuple(self.categories)
-        if not categories:
-            raise ValueError(f"journal {jid}: empty category list")
-        for code in categories:
-            if not code:
-                raise ValueError(f"journal {jid}: empty category code")
-            if ";" in code:
-                raise ValueError(f"journal {jid}: ';' in category code {code!r}")
-            if "\r" in code:
-                raise ValueError(f"journal {jid}: carriage return in category code {code!r}")
-        if len(categories) > 1 and len(set(categories)) != len(categories):
-            raise ValueError(f"journal {jid}: duplicate category codes")
+        if broken := code_list_break(categories):
+            raise ValueError(f"journal {jid}: {broken}")
         try:  # str.encode refuses only a lone surrogate
             "".join((jid, self.name, *categories)).encode()
         except UnicodeEncodeError:
             raise ValueError(f"journal {jid}: lone surrogate in id, name or code") from None
-        for name, value in zip(COUNT_FIELDS, self[3:]):
-            if value is None:
-                continue
-            if value < 0:
-                raise ValueError(f"journal {jid}: negative count in {name}: {value}")
-            if value >= COUNT_LIMIT:
-                raise ValueError(f"journal {jid}: count in {name} is 2**63 or more")
+        for k, (name, value) in enumerate(zip(COUNT_FIELDS, self[3:])):  # refs_* from k = 4
+            if (k < 4 or value is not None) and (broken := count_break(name, value)):
+                raise ValueError(f"journal {jid}: {broken}")
         if categories is not self.categories:
             self = tuple.__new__(cls, (jid, self.name, categories, *self[3:]))
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     @property
     def items_window(self) -> int:
@@ -131,7 +151,7 @@ class _ComponentFields(NamedTuple):
     b: float
 
 
-class ComponentVector(_ComponentFields):
+class ComponentVector(CheckedTuple, _ComponentFields):
     """The five multiplicative factors of an aggregate impact factor.
 
     a: growth ratio of citable items, r: mean references per citable item,
@@ -154,10 +174,6 @@ class ComponentVector(_ComponentFields):
         if not (0.0 <= w <= 1.0):
             raise ValueError(f"component w must lie in [0,1], got {w}")
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 FIELDS = JournalRecord._fields  # the columns of a Dataset, in order

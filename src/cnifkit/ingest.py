@@ -9,7 +9,8 @@ import sys
 from collections import defaultdict
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
-from .core_model import COUNT_FIELDS, COUNT_LIMIT, FIELDS, Dataset, Edition, reference_breaks
+from .core_model import COUNT_FIELDS, COUNT_LIMIT, FIELDS, CheckedTuple, Dataset, Edition
+from .core_model import code_list_break, count_break, reference_breaks
 
 JOURNAL_HEADER = list(FIELDS)
 
@@ -43,38 +44,31 @@ class _FixtureFields(NamedTuple):
 FIXTURE_HEADER = [n.removeprefix("printed_") for n in _FixtureFields._fields]
 
 
-class CategoryFixtureRow(_FixtureFields):
+class CategoryFixtureRow(CheckedTuple, _FixtureFields):
     """One category row of the published reference table, as a named tuple.
 
     Raw counts are exact integers; ``printed_*`` carry the table's rounded
     values and are ``None`` where the table shows "-".  They are kept for
     golden comparisons only and never fed back into arithmetic.  The
-    constructor checks that the code holds no carriage return, that counts
-    are non-negative and below ``COUNT_LIMIT`` and that p and w lie in
-    [0,1]; ``_make`` and ``_replace`` check as the constructor does.
+    constructor checks that the code keeps ``code_list_break``'s rules, that
+    the four counts keep ``count_break``'s and that p and w lie in [0,1];
+    ``_make`` and ``_replace`` check as the constructor does.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if "\r" in self.code:  # csv.writer leaves a lone one unquoted before Python 3.13
-            raise ValueError(f"carriage return in category code {self.code!r}")
-        for name in ("refs_jcr", "refs_total", "ncited", "nciting"):
-            count = getattr(self, name)
-            if count < 0:
-                raise ValueError(f"{self.code}: negative count {name}")
-            if count >= COUNT_LIMIT:
-                raise ValueError(f"{self.code}: count {name} is 2**63 or more")
+        if broken := code_list_break((self.code,)):
+            raise ValueError(broken)
+        for name, count in zip(self._fields[3:7], self[3:7]):
+            if broken := count_break(name, count):
+                raise ValueError(f"{self.code}: {broken}")
         for name in ("printed_p", "printed_w"):
             v = getattr(self, name)
             if v is not None and not (0.0 <= v <= 1.0):
                 raise ValueError(f"{self.code}: {name} outside [0,1]")
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     def is_complete(self) -> bool:
         return None not in self[7:12]  # printed a, r, p, w and b
@@ -114,11 +108,9 @@ def _parse_count(value: str, column: str, line: int) -> int:
     try:
         n = int(value)
     except ValueError:
-        raise ParseError(line, f"non-integer count in {column}: {value!r}") from None
-    if n < 0:
-        raise ParseError(line, f"negative count in {column}: {n}")
-    if n >= COUNT_LIMIT:
-        raise ParseError(line, f"count in {column} is 2**63 or more")
+        n = value  # a str, which count_break names as it is
+    if broken := count_break(column, n):
+        raise ParseError(line, broken)
     return n
 
 
@@ -151,15 +143,9 @@ def parse_journals_csv(stream: IO[str], strict: bool = True) -> Dataset:
         seen.add(jid)
         codes = category_sets.get(cats)
         if codes is None:
-            if "\r" in cats:
-                raise ParseError(line, f"journal {jid}: carriage return in category codes")
-            codes = cats.split(";")
-            if "" in codes:
-                codes = [c for c in codes if c]
-                if not codes:
-                    raise ParseError(line, f"journal {jid}: empty category list")
-            if len(codes) > 1 and len(set(codes)) != len(codes):
-                raise ParseError(line, f"journal {jid}: duplicate category codes")
+            codes = [c for c in cats.split(";") if c]  # a stray separator stands for no code
+            if broken := code_list_break(codes):
+                raise ParseError(line, f"journal {jid}: {broken}")
             codes = category_sets[cats] = tuple(map(sys.intern, codes))
         try:
             t, t1, t2, cited = int(t), int(t1), int(t2), int(cited)

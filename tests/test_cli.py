@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnifkit.cli import COMMANDS, _formatter, main, parse_args, round_away
+from cnifkit.cli import COMMANDS, _check, _formatter, main, parse_args, round_away
 from cnifkit.reference import TABLE4_DIVERGENT_CELLS, bundled_fixture_path
 from test_cli_golden import journal_csv
 
@@ -49,6 +49,10 @@ class TestRounding:
     def test_half_away_negative(self):
         assert round_away(-2.5, 0) == -3.0
         assert round_away(-0.1235, 3) == -0.124
+
+    def test_check_cells_half_away(self):
+        # exact ties at two digits, which f"{x:.2f}" would round to even
+        assert _check(("k",), 0.125, -0.625, 1.0, (2, 2)) == ("k", "0.13", "-0.63", "ok")
 
 
 NEAR_2_63 = st.integers(2**63 - 2**20, 2**63 - 1)

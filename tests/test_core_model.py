@@ -1,3 +1,4 @@
+import csv
 import io
 import re
 import sys
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cnifkit.core_model import COUNT_FIELDS, COUNT_LIMIT, JournalRecord, Violation, validate
-from cnifkit.ingest import emit_journals_csv, parse_journals_csv
+from cnifkit.core_model import COUNT_FIELDS, COUNT_LIMIT, FIELDS, JournalRecord, Violation, validate
+from cnifkit.ingest import ParseError, emit_journals_csv, parse_journals_csv
 
 from conftest import make_dataset, make_journal, oracle_validate
 
@@ -34,11 +35,16 @@ RECORD = dict(
         ("categories", ("A", ""), "journal j1: empty category code"),
         ("categories", ("A;B",), "journal j1: ';' in category code 'A;B'"),
         ("name", "J\ud800", "journal j1: lone surrogate in id, name or code"),
+        ("categories", "AB", "journal j1: category list is a str"),
+        ("items_t", True, "journal j1: non-integer count in items_t: True"),
     ]
-    + [(name, -3, f"journal j1: negative count in {name}: -3") for name in COUNT_FIELDS],
+    + [(name, -3, f"journal j1: negative count in {name}: -3") for name in COUNT_FIELDS]
+    + [(name, 1.5, f"journal j1: non-integer count in {name}: 1.5") for name in COUNT_FIELDS]
+    + [(name, None, f"journal j1: non-integer count in {name}: None") for name in COUNT_FIELDS[:4]],
     ids=[
         "id", "categories", "empty-code", "empty-second-code", "separator-in-code", "surrogate",
-        *COUNT_FIELDS,
+        "str-categories", "bool-count", *COUNT_FIELDS, *(f"{name}-float" for name in COUNT_FIELDS),
+        *(f"{name}-none" for name in COUNT_FIELDS[:4]),
     ],
 )
 def test_record_rejects_break_of_its_own_rules(field, value, message):
@@ -60,6 +66,37 @@ def test_record_rejects_count_the_parser_rejects(field):
     out = io.StringIO()
     emit_journals_csv(ds, out)
     assert parse_journals_csv(io.StringIO(out.getvalue())) == ds
+
+
+COUNT = st.sampled_from([-1, 0, 1, COUNT_LIMIT - 1, COUNT_LIMIT])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["j1", "", "j\r1"]),
+    st.lists(st.sampled_from(["", "A", "B", "\r", "A\r"]), max_size=4),
+    st.lists(COUNT, min_size=4, max_size=4),
+    st.lists(st.none() | COUNT, min_size=3, max_size=3),
+)
+@example("j1", ["A", "A\r"], [1, 1, 1, 1], [None] * 3)
+def test_parser_and_record_state_each_shared_rule_in_the_same_words(jid, codes, counts, refs):
+    # the parser reads the codes between separators, so an empty one is a
+    # stray separator to it; the record gets the codes the parser reads
+    row = [jid, "n", ";".join(codes), *counts, *refs]
+    out = io.StringIO()  # every field quoted: a lone carriage return in one reads back
+    csv.writer(out, quoting=csv.QUOTE_ALL).writerows([FIELDS, row])
+    try:
+        record = JournalRecord(jid, "n", [c for c in codes if c], *counts, *refs)
+    except ValueError as exc:
+        with pytest.raises(ParseError) as parsed:
+            parse_journals_csv(io.StringIO(out.getvalue(), newline=""), strict=False)
+        rule = str(exc)
+        if " count in " in rule:  # the parser names a bad count's column, not its journal
+            rule = rule.removeprefix(f"journal {jid}: ")
+        assert str(parsed.value) == f"line 2: {rule}"
+    else:
+        dataset = parse_journals_csv(io.StringIO(out.getvalue(), newline=""), strict=False)
+        assert dataset.journals == (record,)
 
 
 def test_row_breaking_both_reference_rules_has_two_violations_in_rule_order():

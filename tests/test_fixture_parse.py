@@ -10,6 +10,7 @@ message.
 import csv
 import io
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -164,17 +165,30 @@ class TestRow:
 
     @pytest.mark.parametrize("count", ["refs_jcr", "refs_total", "ncited", "nciting"])
     def test_negative_count_raises(self, count):
-        with pytest.raises(ValueError, match=f"^S1: negative count {count}$"):
+        with pytest.raises(ValueError, match=f"^S1: negative count in {count}: -1$"):
             CategoryFixtureRow(**{**self.FIELDS, count: -1})
 
     @pytest.mark.parametrize("count", ["refs_jcr", "refs_total", "ncited", "nciting"])
     @pytest.mark.parametrize("value", [COUNT_LIMIT, 10**400])
     def test_count_the_parser_rejects_raises(self, count, value):
         # the parser's bound; past it fixture_reference_components overflows
-        with pytest.raises(ValueError, match=rf"^S1: count {count} is 2\*\*63 or more$"):
+        with pytest.raises(ValueError, match=rf"^S1: count in {count} is 2\*\*63 or more$"):
             CategoryFixtureRow(**{**self.FIELDS, count: value})
         row = CategoryFixtureRow(**{**self.FIELDS, count: COUNT_LIMIT - 1})
         assert getattr(row, count) == COUNT_LIMIT - 1
+
+    @pytest.mark.parametrize("count", ["refs_jcr", "refs_total", "ncited", "nciting"])
+    @pytest.mark.parametrize("value", [1.5, None])
+    def test_count_that_is_not_an_integer_raises(self, count, value):
+        with pytest.raises(ValueError, match=rf"^S1: non-integer count in {count}: {value}$"):
+            CategoryFixtureRow(**{**self.FIELDS, count: value})
+
+    @pytest.mark.parametrize(
+        "code, message", [("", "empty category code"), ("S;1", "';' in category code 'S;1'")]
+    )
+    def test_code_a_journal_may_not_list_raises(self, code, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CategoryFixtureRow(**{**self.FIELDS, "code": code})
 
     @pytest.mark.parametrize("share", ["printed_p", "printed_w"])
     @pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
