@@ -304,21 +304,18 @@ def _checked(columns: tuple[str, ...], rows: list[tuple]) -> Outputs:
 
 
 def _table1_rows(args) -> Outputs:
-    fixture = _fixture(args)
+    fixture, fmt = _fixture(args), _formatter(2)
     rows = []
     for r in fixture:
         cells = []
-        ok = True
         computed = indicators.fixture_reference_components(r)
         for value, printed in zip(computed, (r.printed_p, r.printed_w, r.printed_b)):
             if printed is None:
                 cells.append("absent")
                 continue
-            rounded = round_away(value, 2)
-            match = abs(rounded - printed) <= 0.01 + 1e-12
-            cells.append(f"{rounded:.2f}" + ("" if match else f"!={printed:.2f}"))
-            ok = ok and match
-        rows.append((r.code, *cells, "ok" if ok else "MISMATCH"))
+            match = abs(round_away(value, 2) - printed) <= 0.01 + 1e-12
+            cells.append(fmt(value) + ("" if match else f"!={fmt(printed)}"))
+        rows.append((r.code, *cells, "MISMATCH" if any("!=" in c for c in cells) else "ok"))
     total = f"{sum(r[-1] == 'MISMATCH' for r in rows)} mismatches / {len(fixture)} rows"
     rows.append(("TOTAL", "", "", "", total))
     return _checked(("category", "p", "w", "b", "status"), rows)

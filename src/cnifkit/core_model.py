@@ -58,9 +58,9 @@ def count_break(name: str, value) -> Optional[str]:
     """The first count rule ``value``, the count in column ``name``, breaks,
     or None: it is an int, not a bool, not negative and below ``COUNT_LIMIT``."""
     if type(value) is not int:  # a bool would be written as "True"
-        return f"non-integer count in {name}: {value!r}"
+        return f"non-integer count in {name}: {clip(repr(value))}"
     if value < 0:
-        return f"negative count in {name}: {value}"
+        return f"negative count in {name}: {clip(value)}"
     return f"count in {name} is 2**63 or more" if value >= COUNT_LIMIT else None
 
 

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from collections import defaultdict
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
@@ -109,6 +110,10 @@ def _parse_count(value: str, column: str, line: int) -> int:
         n = int(value)
     except ValueError:
         n = value  # a str, which count_break names as it is
+        # int() refuses an integer past 4,300 digits; its sign and first 20
+        # significant ones break the same rule
+        if m := re.fullmatch(r"\s*([+-]?)(?:0_?)*([1-9](?:_?[0-9]){19,})\s*", value):
+            n = int(m[1] + m[2].replace("_", "")[:20])
     if broken := count_break(column, n):
         raise ParseError(line, broken)
     return n

@@ -2,7 +2,8 @@
 
 Correlation matrices, eigendecomposition (cyclic Jacobi), PCA variance
 attribution, Ward hierarchical clustering, one-sample KS normality, and
-standard-deviation-band histograms.
+standard-deviation-band histograms.  A column taken as a sample obeys one
+rule, ``_sd``'s: at least 2 values (5 for KS), all finite, not all equal.
 """
 from __future__ import annotations
 
@@ -92,28 +93,35 @@ def listwise_complete(columns: dict[str, Sequence[Optional[float]]]) -> tuple[di
     return out, n - len(keep)
 
 
-def _sd(x: np.ndarray) -> np.ndarray:
-    """Sample sd (ddof=1) down the first axis; inf or nan, not a warning, on overflow."""
+def _sd(x: np.ndarray, minimum: int = 2) -> np.ndarray:
+    """Sample sd (ddof=1) down the first axis, if each column holds at least ``minimum``
+    finite values, not all equal: min == max, as sd can round above 0 and np.ptp overflow."""
     import numpy as np
-    with np.errstate(over="ignore", invalid="ignore"):
-        return x.std(axis=0, ddof=1)
+    if len(x) < minimum:
+        raise ValueError(f"need at least {minimum} observations, got {len(x)}")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, not a warning
+        s = x.std(axis=0, ddof=1)
+    if not np.all(np.isfinite(s) & (s != 0)) or np.any(x.min(axis=0) == x.max(axis=0)):
+        raise ValueError("degenerate sample: non-finite or zero standard deviation")
+    return s
 
 
 def correlation_matrix(columns: dict[str, Sequence[Optional[float]]]) -> Matrix:
     """Pearson correlations after listwise deletion of incomplete rows.
 
-    Each column is centred and its sum of squares taken once; each unordered
-    pair is computed once and mirrored, so the result is exactly symmetric
-    with a unit diagonal.
+    A column that breaks the sample rule raises ``column <name>: `` and
+    ``_sd``'s error.  Each column is centred and its sum of squares taken once;
+    each unordered pair is computed once and mirrored, so the result is exactly
+    symmetric with a unit diagonal.
     """
     import numpy as np
     complete, _ = listwise_complete(columns)
     labels = tuple(complete)
     for k, v in complete.items():
-        if len(v) < 2:
-            raise ValueError("need at least 2 complete rows")
-        if not np.isfinite(_sd(v)) or np.ptp(v) == 0:
-            raise ValueError(f"column {k} has non-finite or zero variance")
+        try:
+            _sd(v)
+        except ValueError as exc:
+            raise ValueError(f"column {k}: {exc}") from None
     centred = [v - v.mean() for v in complete.values()]
     squares = [float(np.dot(c, c)) for c in centred]
     out = np.eye(len(labels))
@@ -200,10 +208,7 @@ def pca_of(corr: Matrix) -> PcaResult:
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
-    import numpy as np
     sd = _sd(x)
-    if not np.all(np.isfinite(sd) & (sd != 0)):
-        raise ValueError("cannot standardize a non-finite or zero-variance column")
     return (x - x.mean(axis=0)) / sd
 
 
@@ -336,12 +341,7 @@ def ks_normality(sample: Sequence[float], alpha: float = 0.05, lilliefors: bool 
     import numpy as np
     x = np.sort(np.asarray(sample, dtype=float))
     n = len(x)
-    if n < 5:
-        raise ValueError(f"need at least 5 observations, got {n}")
-    s = _sd(x)
-    if s == 0 or not np.isfinite(s):
-        raise ValueError("degenerate sample: non-finite or zero standard deviation")
-    m, s = float(x.mean()), float(s)  # Python floats: the same bits, a faster loop
+    s, m = float(_sd(x, 5)), float(x.mean())  # Python floats: the same bits, a faster loop
     cdf = np.array([_normal_cdf((v - m) / s) for v in x.tolist()])
     i = np.arange(1, n + 1)
     d = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
@@ -359,11 +359,7 @@ def histogram_by_sd(sample: Sequence[float]) -> SdHistogram:
     import numpy as np
     x = np.asarray(sample, dtype=float)
     n = len(x)
-    if n < 2:
-        raise ValueError(f"need at least 2 observations, got {n}")
     s = _sd(x)
-    if s == 0 or not np.isfinite(s):
-        raise ValueError("degenerate sample: non-finite or zero standard deviation")
     m = x.mean()  # of the unsorted sample: sorting would change numpy's summation order
     x = np.sort(x)
     edges = [m + j * s for j in (-3, -2, -1, 0, 1, 2, 3)]

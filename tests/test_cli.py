@@ -236,8 +236,8 @@ class TestExitCodes:
         "command, message",
         [
             (["stats", "hist"], "degenerate sample: non-finite or zero standard deviation"),
-            (["stats", "corr"], "column a has non-finite or zero variance"),
-            (["stats", "cluster"], "cannot standardize a non-finite or zero-variance column"),
+            (["stats", "corr"], "column a: degenerate sample: non-finite or zero standard deviation"),
+            (["stats", "cluster"], "degenerate sample: non-finite or zero standard deviation"),
             (["stats", "ks"], "degenerate sample: non-finite or zero standard deviation"),
         ],
         ids=["hist", "corr", "cluster", "ks"],
@@ -251,6 +251,35 @@ class TestExitCodes:
         assert main(command + ["--fixture", str(fixture), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["stats", "hist"], "degenerate sample: non-finite or zero standard deviation"),
+            (["stats", "ks"], "degenerate sample: non-finite or zero standard deviation"),
+            (["stats", "corr"], "column p: degenerate sample: non-finite or zero standard deviation"),
+            (["stats", "cluster"], "degenerate sample: non-finite or zero standard deviation"),
+            (["reproduce-table3"], "column p: degenerate sample: non-finite or zero standard deviation"),
+            (["reproduce-table4"], "degenerate sample: non-finite or zero standard deviation"),
+        ],
+        ids=["hist", "ks", "corr", "cluster", "table3", "table4"],
+    )
+    def test_constant_fixture_column_is_data_error(self, command, message, tmp_path, capsys):
+        # the mean of many 0.33s is not 0.33, so their sd rounds above 0
+        lines = Path(bundled_fixture_path()).read_text(encoding="utf-8").splitlines()
+        rows = list(csv.reader(lines))
+        p = rows[0].index("p")
+        for row in rows[1:]:
+            row[p] = "0.33"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_text(buf.getvalue(), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(command + ["--fixture", str(fixture), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.glob("out*")) == []
 
     @pytest.mark.parametrize("command", [["decompose"], ["reproduce-table1"]])
     def test_fixture_row_with_zero_references_is_data_error(self, command, tmp_path, capsys):
@@ -290,6 +319,31 @@ class TestExitCodes:
         assert not out.exists()
         path.write_text(SAMPLE.replace("j3,Gamma,B,6,7,8,90,", f"j3,Gamma,B,6,7,8,{2**63 - 1},"))
         assert main(command + ["--input", str(path), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("9" * 5000, "count in cited_in_window is 2**63 or more"),
+            ("+" + "1_0" * 2200, "count in cited_in_window is 2**63 or more"),
+            ("-" + "1" * 4000, "negative count in cited_in_window: -1111111111111111..."),
+            (" -" + "1" * 5000 + " ", "negative count in cited_in_window: -1111111111111111..."),
+            ("x" * 5000, "non-integer count in cited_in_window: 'xxxxxxxxxxxxxxxx..."),
+        ],
+        ids=["digits", "underscores", "negative", "negative-past-int-limit", "non-integer"],
+    )
+    def test_over_long_count_cell_names_its_rule(self, cell, message, tmp_path, capsys):
+        # int() refuses an integer string of more than 4,300 digits; each
+        # error line echoes at most 20 characters of the cell
+        path = tmp_path / "journals.csv"
+        path.write_text(SAMPLE.replace("j3,Gamma,B,6,7,8,90,", f"j3,Gamma,B,6,7,8,{cell},"))
+        assert main(["validate", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: line 4: {message}\n"
+        text = Path(bundled_fixture_path()).read_text(encoding="utf-8")
+        s5 = "\nS5,\"AGR, MULTIDISCIPL\",science,140735,193124,15625,"
+        fixture = tmp_path / "fixture.csv"
+        fixture.write_text(text.replace(s5, s5[:-6] + cell + ","), encoding="utf-8")
+        assert main(["decompose", "--fixture", str(fixture)]) == 2
+        assert capsys.readouterr().err == f"error: line 6: {message.replace('cited_in_window', 'ncited')}\n"
 
     @pytest.mark.parametrize("command", [["decompose"], ["reproduce-table1"]])
     def test_fixture_count_of_2_63_or_more_is_usage_error(self, command, tmp_path, capsys):

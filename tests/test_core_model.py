@@ -37,13 +37,15 @@ RECORD = dict(
         ("name", "J\ud800", "journal j1: lone surrogate in id, name or code"),
         ("categories", "AB", "journal j1: category list is a str"),
         ("items_t", True, "journal j1: non-integer count in items_t: True"),
+        ("items_t", "9" * 40, "journal j1: non-integer count in items_t: '9999999999999999..."),
+        ("items_t", -(10**40), "journal j1: negative count in items_t: -1000000000000000..."),
     ]
     + [(name, -3, f"journal j1: negative count in {name}: -3") for name in COUNT_FIELDS]
     + [(name, 1.5, f"journal j1: non-integer count in {name}: 1.5") for name in COUNT_FIELDS]
     + [(name, None, f"journal j1: non-integer count in {name}: None") for name in COUNT_FIELDS[:4]],
     ids=[
         "id", "categories", "empty-code", "empty-second-code", "separator-in-code", "surrogate",
-        "str-categories", "bool-count", *COUNT_FIELDS, *(f"{name}-float" for name in COUNT_FIELDS),
+        "str-categories", "bool-count", "long-str-count", "long-negative-count", *COUNT_FIELDS, *(f"{name}-float" for name in COUNT_FIELDS),
         *(f"{name}-none" for name in COUNT_FIELDS[:4]),
     ],
 )

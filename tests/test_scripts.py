@@ -52,7 +52,10 @@ class TestRunReproduction:
             "reproduce-table3: failed with exit 1",
             "reproduce-table4: failed with exit 1",
         ]
-        assert err == "error: need at least 2 complete rows\nerror: need at least 2 observations, got 0\n"
+        assert err == (
+            "error: column a: need at least 2 observations, got 0\n"
+            "error: need at least 2 observations, got 0\n"
+        )
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["reproduce-table1.csv"]
 
 

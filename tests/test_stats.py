@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from cnifkit.cli import component_columns, edition_rows
@@ -15,7 +15,6 @@ from cnifkit.stats import (
     Matrix,
     Merge,
     SdHistogram,
-    _sd,
     _standardize,
     correlation_matrix,
     cut_dendrogram,
@@ -840,8 +839,10 @@ def mask_histogram_by_sd(sample):
     n = len(x)
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
-    s = _sd(x)
-    if s == 0 or not np.isfinite(s):
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = x.std(ddof=1)
+    # the sample rule, written out here so the oracle does not share stats._sd
+    if s == 0 or not np.isfinite(s) or x.min() == x.max():
         raise ValueError("degenerate sample: non-finite or zero standard deviation")
     m = x.mean()
     edges = [m + j * s for j in (-3, -2, -1, 0, 1, 2, 3)]
@@ -886,6 +887,10 @@ class TestHistogram:
         | st.lists(st.integers(-3, 3), min_size=2, max_size=60)
         | st.lists(wide_floats, min_size=2, max_size=3)
         | st.lists(wide_floats, min_size=2, max_size=40)
+        # constant samples, most of whose means round away from their value
+        | st.tuples(wide_floats | st.floats(allow_nan=False), st.integers(2, 40)).map(
+            lambda t: [t[0]] * t[1]
+        )
     )
     def test_identical_to_mask_counts(self, sample):
         try:
@@ -942,3 +947,46 @@ class TestHistogram:
     def test_degenerate_sample_rejected(self):
         with pytest.raises(ValueError):
             histogram_by_sd([2.0, 2.0, 2.0])
+
+
+DEGENERATE = "degenerate sample: non-finite or zero standard deviation"
+
+
+def sample_refusals(sample):
+    """Each kernel that takes ``sample`` as a column, with the error it must raise."""
+    n = len(sample)
+    ks = DEGENERATE if n >= 5 else f"need at least 5 observations, got {n}"
+    labels, ramp = [f"p{i:02d}" for i in range(n)], [float(i) for i in range(n)]
+    return [
+        (lambda: ks_normality(sample), ks),
+        (lambda: histogram_by_sd(sample), DEGENERATE),
+        (lambda: correlation_matrix({"x": ramp, "y": sample}), f"column y: {DEGENERATE}"),
+        (lambda: ward_cluster(labels, list(zip(ramp, sample))), DEGENERATE),
+    ]
+
+
+class TestSampleRule:
+    """One rule refuses a sample in every kernel: size, finiteness and spread."""
+
+    @pytest.mark.filterwarnings("error")  # a warning fails the test
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False) | wide_floats, st.integers(2, 40))
+    @example(1 / 3, 10)  # the mean of ten 1/3s is not 1/3, so the sd rounds above 0
+    def test_constant_sample_refused_whatever_its_value(self, v, n):
+        for kernel, message in sample_refusals([v] * n):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                kernel()
+
+    @pytest.mark.filterwarnings("error")  # np.ptp of this sample overflows with a warning
+    def test_sample_spanning_the_float_range_refused_without_warning(self):
+        for kernel, message in sample_refusals([-1.7e308, 1.7e308, 0.0, 1.0, 2.0]):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                kernel()
+
+    def test_too_few_values_refused(self):
+        with pytest.raises(ValueError, match="^need at least 5 observations, got 4$"):
+            ks_normality([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="^need at least 2 observations, got 1$"):
+            histogram_by_sd([1.0])
+        with pytest.raises(ValueError, match="^column x: need at least 2 observations, got 1$"):
+            correlation_matrix({"x": [1.0], "y": [2.0]})
